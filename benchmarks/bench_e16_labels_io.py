@@ -5,8 +5,8 @@ opens its store in O(1) — map the file, read 80 bytes — where the `/1`
 JSON path must parse every label before the first query.  Shapes to
 verify on an E13-size labeling (delaunay n = 512):
 
-* cold start: `MappedLabelStore` open is >= 10x faster than the eager
-  JSON parse of the same label set;
+* cold start: the mapped `ShardedLabelStore` open is >= 10x faster
+  than the eager JSON parse of the same label set;
 * first queries straight off the cold map answer byte-identically to
   the eager store (lazy decode changes latency, never bytes);
 * footprint: bytes on disk per codec, mapped bytes, and the resident
@@ -27,7 +27,7 @@ from repro.core.serialize import dump_labeling, load_labeling
 from repro.generators import random_delaunay_graph
 from repro.obs.export import write_bench_json
 from repro.obs.timeseries import process_rss_bytes
-from repro.serve.store import MappedLabelStore, ShardedLabelStore
+from repro.serve.store import ShardedLabelStore
 from repro.util import format_table
 
 N = 512
@@ -68,10 +68,10 @@ def run_experiment(tmp_dir: Path):
     rss_before = process_rss_bytes()
     json_start = _best_of(lambda: ShardedLabelStore.load(json_path, NUM_SHARDS))
     rss_after_json = process_rss_bytes()
-    bin_start = _best_of(lambda: MappedLabelStore(bin_path).close())
+    bin_start = _best_of(lambda: ShardedLabelStore.mapped(bin_path).close())
 
     # Cold open + first queries: lazy decode must not change a byte.
-    mapped = MappedLabelStore(bin_path)
+    mapped = ShardedLabelStore.mapped(bin_path)
     eager = ShardedLabelStore.load(json_path, NUM_SHARDS)
     vertices = sorted(remote.vertices())
     sample = list(zip(vertices, reversed(vertices)))[:QUERY_SAMPLE]

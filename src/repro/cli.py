@@ -64,7 +64,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import BACKENDS, build_decomposition, build_labeling
+from repro.core import build_decomposition, build_labeling
 from repro.core.engines import (
     CenterBagEngine,
     GreedyPeelingEngine,
@@ -227,7 +227,6 @@ def cmd_oracle(args) -> int:
         engine=engine,
         parallel=args.jobs,
         seed=args.seed,
-        backend=args.backend,
     )
     count, mean_stretch, worst = _evaluate_queries(
         graph, oracle, args.queries, args.seed
@@ -260,7 +259,6 @@ def cmd_labels(args) -> int:
         epsilon=args.epsilon,
         parallel=args.jobs,
         seed=args.seed,
-        backend=args.backend,
     )
     dump_labeling(labeling, args.out, codec=args.codec, num_shards=args.shards)
     report = labeling.size_report()
@@ -356,41 +354,23 @@ def _query_remote(args) -> int:
     return asyncio.run(run())
 
 
-def _local_estimator(remote, backend):
-    """An ``estimate(u, v)`` callable over loaded labels, honoring the
-    ``--backend`` flag.  Both paths answer bit-identically and raise
-    the same missing-vertex errors (``remote.label`` does the raising);
-    the flat path converts labels lazily and memoizes them, which pays
-    off in ``--pairs-file`` batch mode."""
-    from repro.core.flat import FlatLabel, flat_estimate, resolve_backend
-
-    if resolve_backend(backend) != "flat":
-        return remote.estimate
-    flats = {}
-
-    def estimate(u, v):
-        fu = flats.get(u)
-        if fu is None:
-            fu = flats[u] = FlatLabel.from_label(remote.label(u))
-        fv = flats.get(v)
-        if fv is None:
-            fv = flats[v] = FlatLabel.from_label(remote.label(v))
-        return flat_estimate(fu, fv)
-
-    return estimate
-
-
 def cmd_query(args) -> int:
     if args.remote:
         return _query_remote(args)
     # load_labeling raises SerializationError for malformed payloads and
-    # OSError for a missing file; RemoteLabels.label raises GraphError
-    # for an unlabeled vertex.  All three become one-line ``error: ...``
+    # OSError for a missing file; the store raises GraphError for an
+    # unlabeled vertex.  All three become one-line ``error: ...``
     # messages with exit status 2 in main().
     if args.labels is None:
         raise ReproError("need a labels file (or --remote HOST:PORT)")
-    remote = load_labeling(args.labels)
-    estimate = _local_estimator(remote, args.backend)
+    from repro.serve.store import ShardedLabelStore
+
+    # Decoding the whole file up front (not the lazy mmap open) keeps a
+    # truncated or malformed file a load error rather than a late one.
+    store = ShardedLabelStore.from_remote(
+        Path(args.labels).stem, load_labeling(args.labels)
+    )
+    estimate = store.estimate
     if args.pairs_file:
         # Batch mode: one load_labeling amortized over many estimates,
         # one ``u v estimate`` line per pair.
@@ -409,7 +389,7 @@ def cmd_query(args) -> int:
         raise ReproError("need two vertices U V (or --pairs-file)")
     u, v = _parse_vertex(args.u), _parse_vertex(args.v)
     d_hat = estimate(u, v)
-    print(f"d({u}, {v}) <= {d_hat:.6g}   (within factor {1 + remote.epsilon})")
+    print(f"d({u}, {v}) <= {d_hat:.6g}   (within factor {1 + store.epsilon})")
     return 0
 
 
@@ -495,9 +475,7 @@ def cmd_serve(args) -> int:
         # ShardedLabelStore.load validates the format stamp here, so an
         # incompatible file is refused before the port is ever bound.
         store = catalog.add(
-            ShardedLabelStore.load(
-                path, num_shards=args.shards, backend=args.backend
-            )
+            ShardedLabelStore.load(path, num_shards=args.shards)
         )
         print(
             f"loaded store {store.name!r}: {store.num_labels} labels, "
@@ -1382,7 +1360,6 @@ def cmd_stats(args) -> int:
             engine=engine,
             parallel=args.jobs,
             seed=args.seed,
-            backend=args.backend,
         )
         count, mean_stretch, worst = _evaluate_queries(
             graph, oracle, args.queries, args.seed
@@ -1467,17 +1444,6 @@ def cmd_stats(args) -> int:
     return 0 if worst <= 1 + args.epsilon + 1e-9 else 1
 
 
-def _add_backend_arg(p) -> None:
-    p.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="auto",
-        help="core kernels: 'flat' (CSR/flat-array, needs numpy+scipy), "
-        "'dict' (pure-python reference), or 'auto' (flat when available); "
-        "every observable output is byte-identical between the two",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1554,7 +1520,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="build labels with N worker processes (same bytes as serial)",
     )
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser(
@@ -1579,7 +1544,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=8,
                    help="pack-time shard count (binary codec only)")
     p.add_argument("--out", required=True)
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_labels)
 
     p = sub.add_parser(
@@ -1621,7 +1585,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra attempts per remote request")
     p.add_argument("--timeout", type=float, default=5.0,
                    help="per-attempt remote deadline in seconds")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser(
@@ -1652,7 +1615,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="build labels with N worker processes (same bytes as serial)",
     )
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
@@ -1697,7 +1659,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "cluster (see docs/cluster.md)")
     p.add_argument("--cluster-node", metavar="ID",
                    help="this node's id in the cluster map")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

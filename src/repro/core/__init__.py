@@ -34,15 +34,7 @@ from repro.core.engines import (
     TreeCentroidEngine,
     auto_engine,
 )
-from repro.core.flat import (
-    BACKENDS,
-    CSRGraph,
-    FlatBackendUnavailable,
-    FlatLabel,
-    flat_available,
-    flat_estimate,
-    resolve_backend,
-)
+from repro.core.flat import CSRGraph, FlatLabel, flat_estimate
 from repro.core.labeling import DistanceLabeling, VertexLabel, build_labeling
 from repro.core.oracle import PathSeparatorOracle
 from repro.core.portals import claim1_landmarks, epsilon_cover_portals, min_portal_pair
@@ -67,7 +59,6 @@ from repro.core.smallworld import (
 __all__ = [
     "AugmentationDistribution",
     "AugmentedGraph",
-    "BACKENDS",
     "CSRGraph",
     "CenterBagEngine",
     "ClosestSeparatorAugmentation",
@@ -75,7 +66,6 @@ __all__ = [
     "DecompositionNode",
     "DecompositionTree",
     "DistanceLabeling",
-    "FlatBackendUnavailable",
     "FlatLabel",
     "DoublingNode",
     "DoublingOracle",
@@ -102,12 +92,10 @@ __all__ = [
     "dump_labeling",
     "epsilon_cover_portals",
     "estimate_aspect_ratio",
-    "flat_available",
     "flat_estimate",
     "greedy_net",
     "greedy_route",
     "load_labeling",
     "grid3d_doubling_decomposition",
     "min_portal_pair",
-    "resolve_backend",
 ]

@@ -589,6 +589,10 @@ class BinaryLabelReader:
             lo += 1
         return None
 
+    def __contains__(self, v: Vertex) -> bool:
+        """Whether *v* has a record; decodes only candidate vertices."""
+        return self._find_record(v) is not None
+
     def get(self, v: Vertex) -> Optional[VertexLabel]:
         """The label of *v*, or None — decoding only candidate records."""
         record_id = self._find_record(v)

@@ -21,22 +21,26 @@ flat arrays.
 * :class:`FlatLabel` — one vertex's label as sorted integer key codes
   plus interleaved ``array('d')`` ``(position, distance)`` runs, built
   either from a ``VertexLabel`` or straight off a ``/2`` record's bytes
-  (:meth:`repro.core.binfmt.BinaryLabelReader.get_flat`).
+  (:meth:`repro.core.binfmt.BinaryLabelReader.get_flat`).  It is the
+  only form in which the serving stores hold labels.
 * :func:`flat_estimate` — the Theorem-2 combine as a sorted-run
   intersection scan over two ``FlatLabel``s instead of dict probes.
 
 Equivalence contract (fenced by ``tests/core/test_flat_differential.py``
-and the property suite): for every graph the flat backend produces the
+and the property suite): for every graph the flat core produces the
 *bit-identical* labeling, serialized bytes (both codecs), estimates and
-delta-application results as the dict backend.  The argument is that
-both kernels compute the same float expressions in the same order:
-Dijkstra distances are the unique float fixed point of
+delta-application results as the reference kernels in
+:mod:`repro.core.labeling` and :mod:`repro.graphs.shortest_paths`.
+The argument is that both compute the same float expressions in the
+same order: Dijkstra distances are the unique float fixed point of
 ``d[v] = min_u fl(d[u] + w(u, v))`` for positive weights regardless of
 settling order, and the cover scan / portal merge below replicate the
 reference arithmetic operation for operation.
 
-numpy + scipy are optional extras: :func:`resolve_backend` falls back
-to (or the caller pins) the dict backend when they are missing.
+Units whose residual is below :data:`SMALL_RESIDUAL` run the reference
+kernels directly; raising that threshold above ``n`` routes a whole
+build or incremental relabel through them, which is how the tests
+obtain the reference labeling to compare against.
 """
 
 from __future__ import annotations
@@ -44,85 +48,32 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+from scipy.sparse import csr_matrix as _csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
 from repro.core.labeling import VertexLabel
 from repro.core.serialize import canonical_vertex
 from repro.graphs.graph import Graph
+from repro.graphs.shortest_paths import batched_dijkstra
 from repro.obs import metrics
-from repro.util.errors import GraphError, ReproError
+from repro.util.errors import GraphError
 from repro.util.sizing import PORTAL_ENTRY_WORDS
-
-try:  # soft dependency: the flat backend needs numpy + scipy
-    import numpy as _np
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
-    _IMPORT_ERROR: Optional[BaseException] = None
-except ImportError as exc:  # pragma: no cover - exercised via monkeypatch
-    _np = None
-    _csr_matrix = None
-    _csgraph_dijkstra = None
-    _IMPORT_ERROR = exc
 
 Vertex = Hashable
 PathKey = Tuple[int, int, int]
 INF = float("inf")
 
 __all__ = [
-    "BACKENDS",
     "CSRGraph",
-    "FlatBackendUnavailable",
     "FlatBuildContext",
     "FlatLabel",
     "encode_path_key",
-    "flat_available",
     "flat_distance_maps",
     "flat_estimate",
     "flat_phase_distance_maps",
     "flat_unit_entries",
-    "resolve_backend",
 ]
-
-BACKENDS = ("auto", "dict", "flat")
-
-
-class FlatBackendUnavailable(ReproError):
-    """``backend="flat"`` was pinned but numpy/scipy are not importable."""
-
-
-def flat_available() -> bool:
-    """True when the flat backend's soft dependencies import."""
-    return _np is not None
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalize a backend request to ``"flat"`` or ``"dict"``.
-
-    ``None``/``"auto"`` picks the flat backend whenever its
-    dependencies are importable — safe because the flat kernels are
-    byte-identical to the dict reference — and the dict backend
-    otherwise.  Pinning ``"flat"`` on a host without numpy/scipy is an
-    error rather than a silent fallback.
-    """
-    if backend is None or backend == "auto":
-        return "flat" if flat_available() else "dict"
-    if backend == "dict":
-        return "dict"
-    if backend == "flat":
-        if not flat_available():
-            raise FlatBackendUnavailable(
-                f"backend 'flat' needs numpy and scipy: {_IMPORT_ERROR}"
-            )
-        return "flat"
-    raise ValueError(
-        f"unknown backend {backend!r} (expected one of {', '.join(BACKENDS)})"
-    )
-
-
-def _require_flat() -> None:
-    if not flat_available():
-        raise FlatBackendUnavailable(
-            f"the flat core needs numpy and scipy: {_IMPORT_ERROR}"
-        )
 
 
 # -- CSR adjacency --------------------------------------------------------
@@ -131,9 +82,9 @@ class CSRGraph:
     """Compressed-sparse-row view of a :class:`Graph`.
 
     ``verts[i]`` is the vertex object of index ``i`` (graph insertion
-    order, so anything derived from CSR iteration reproduces the dict
-    backend's ordering); ``index`` maps the *canonical* form of each
-    vertex back to its index.  Both directions of every undirected edge
+    order, so anything derived from CSR iteration reproduces the
+    reference kernels' ordering); ``index`` maps the *canonical* form of
+    each vertex back to its index.  Both directions of every undirected edge
     are stored, so ``indices[indptr[i]:indptr[i+1]]`` (with parallel
     ``weights``) is the full neighborhood of ``i``.
     """
@@ -149,7 +100,6 @@ class CSRGraph:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        _require_flat()
         verts: List[Vertex] = list(graph.vertices())
         index: Dict[Vertex, int] = {}
         for i, v in enumerate(verts):
@@ -334,31 +284,39 @@ class FlatLabel:
         self._label: Optional[VertexLabel] = None
 
     @classmethod
-    def from_label(cls, label: VertexLabel) -> "FlatLabel":
+    def from_entries(
+        cls, vertex: Vertex, entries: Dict[PathKey, List[Tuple[float, float]]]
+    ) -> "FlatLabel":
         offs = [0]
         runs = array("d")
         append = runs.append
-        for portals in label.entries.values():
+        for portals in entries.values():
             for pos, dist in portals:
                 append(pos)
                 append(dist)
             offs.append(len(runs) // 2)
-        return cls(label.vertex, tuple(label.entries), offs, runs)
+        return cls(vertex, tuple(entries), offs, runs)
 
-    def to_label(self) -> VertexLabel:
-        """The dict form, memoized: repeated calls return one object so
-        LRU identity semantics match the dict backend's."""
-        cached = self._label
-        if cached is not None:
-            return cached
+    @classmethod
+    def from_label(cls, label: VertexLabel) -> "FlatLabel":
+        return cls.from_entries(label.vertex, label.entries)
+
+    def entries(self) -> Dict[PathKey, List[Tuple[float, float]]]:
+        """A fresh ``{path key: portal list}`` dict in storage order;
+        the caller owns it (it is never the :meth:`to_label` memo)."""
         runs, offs = self.runs, self.offs
         entries: Dict[PathKey, List[Tuple[float, float]]] = {}
         for k, key in enumerate(self.keys):
             lo, hi = 2 * offs[k], 2 * offs[k + 1]
             entries[key] = [(runs[i], runs[i + 1]) for i in range(lo, hi, 2)]
-        cached = VertexLabel(vertex=self.vertex, entries=entries)
-        self._label = cached
-        return cached
+        return entries
+
+    def to_label(self) -> VertexLabel:
+        """The dict form, memoized: repeated calls return one object, so
+        a cached label answers LABEL with the same object every time."""
+        if self._label is None:
+            self._label = VertexLabel(self.vertex, self.entries())
+        return self._label
 
     @property
     def num_portals(self) -> int:
@@ -672,7 +630,11 @@ def flat_distance_maps(
     unreachable vertices are *omitted* rather than stored as ``inf``,
     matching the reference dict shape, so the incremental-relabel fold
     (`m.get(v, INF)` probes, in-place row mutation) works on either.
+    Like :func:`flat_unit_entries`, an *allowed* set below
+    :data:`SMALL_RESIDUAL` runs the reference kernel instead.
     """
+    if len(allowed) < SMALL_RESIDUAL:
+        return batched_dijkstra(ctx.graph, sources, allowed=allowed)
     csr = ctx.csr
     index_of = csr.index_of
     src_idx: List[int] = []

@@ -124,13 +124,10 @@ class DistanceLabeling:
 # number of batched Dijkstra sources the unit consumed.
 UnitEntries = List[Tuple[Vertex, PathKey, List[PortalEntry]]]
 
-# Read-only (graph, tree, epsilon, flat context-or-None) shared with
-# forked pool workers.  Set in the parent right before the fork so
-# children inherit it by copy-on-write instead of pickling the graph
-# per task.
-_WORKER_STATE: Optional[
-    Tuple[Graph, DecompositionTree, float, Optional[object]]
-] = None
+# Read-only (flat build context, epsilon) shared with forked pool
+# workers.  Set in the parent right before the fork so children inherit
+# it by copy-on-write instead of pickling the graph per task.
+_WORKER_STATE: Optional[Tuple[object, float]] = None
 
 
 def build_labeling(
@@ -139,7 +136,6 @@ def build_labeling(
     epsilon: float = 0.25,
     parallel: Optional[int] = None,
     seed: SeedLike = 0,
-    backend: Optional[str] = None,
 ) -> DistanceLabeling:
     """Construct the Theorem 2 labeling from a decomposition tree.
 
@@ -167,30 +163,20 @@ def build_labeling(
         :func:`repro.util.rng.derive_seed`) that reseed each worker's
         inherited global RNG state; label construction itself is
         deterministic.
-    backend:
-        ``"dict"`` (the reference kernels), ``"flat"`` (the CSR/flat
-        array kernels of :mod:`repro.core.flat` — bit-identical output,
-        much faster on large units), or ``None``/``"auto"`` to use flat
-        whenever numpy + scipy are importable.
+
+    Units run on the CSR kernels of :mod:`repro.core.flat`, which hand
+    residuals below ``flat.SMALL_RESIDUAL`` to :func:`_unit_entries`;
+    the output is bit-identical either way.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    from repro.core import flat as flat_core  # circular-safe lazy import
+    from repro.core.flat import FlatBuildContext  # circular-safe lazy import
 
-    resolved = flat_core.resolve_backend(backend)
     jobs = int(parallel) if parallel else 1
     with span(
-        "labeling.build",
-        n=graph.num_vertices,
-        epsilon=epsilon,
-        jobs=jobs,
-        backend=resolved,
+        "labeling.build", n=graph.num_vertices, epsilon=epsilon, jobs=jobs
     ):
-        fctx = (
-            flat_core.FlatBuildContext(graph, tree)
-            if resolved == "flat"
-            else None
-        )
+        fctx = FlatBuildContext(graph, tree)
         units = tree.phase_units()
         # Prefill in graph order so the label dict's iteration order (and
         # therefore the serialized byte layout) never depends on how the
@@ -200,11 +186,9 @@ def build_labeling(
         }
         jobs = min(jobs, len(units)) if units else 1
         if jobs > 1:
-            produced = _build_units_parallel(
-                graph, tree, epsilon, jobs, seed, fctx
-            )
+            produced = _build_units_parallel(fctx, epsilon, jobs, seed)
         else:
-            produced = _build_units_serial(graph, tree, epsilon, fctx)
+            produced = _run_units(fctx, epsilon, range(len(units)))
         metrics.gauge("labeling.jobs", jobs)
         for unit_idx, entries, num_sources, seconds in produced:
             node = tree.nodes[units[unit_idx][0]]
@@ -265,33 +249,19 @@ def _unit_entries(
     return out, len(dist_maps)
 
 
-def _compute_unit(
-    graph: Graph,
-    tree: DecompositionTree,
-    node_id: int,
-    phase_idx: int,
-    residual,
-    epsilon: float,
-    fctx,
-) -> Tuple[UnitEntries, int]:
-    """One unit through the selected kernel: the flat CSR path when a
-    :class:`repro.core.flat.FlatBuildContext` is in hand, the dict
-    reference otherwise.  Outputs are bit-identical either way."""
-    if fctx is not None:
-        from repro.core.flat import flat_unit_entries
-
-        return flat_unit_entries(fctx, node_id, phase_idx, residual, epsilon)
-    return _unit_entries(graph, tree, node_id, phase_idx, residual, epsilon)
-
-
-def _build_units_serial(
-    graph: Graph, tree: DecompositionTree, epsilon: float, fctx=None
+def _run_units(
+    fctx, epsilon: float, unit_idxs
 ) -> List[Tuple[int, UnitEntries, int, float]]:
+    """Build the units named by *unit_idxs*, timing each one."""
+    from repro.core.flat import flat_unit_entries
+
+    units = fctx.tree.phase_units()
     results = []
-    for unit_idx, (node_id, phase_idx, residual) in enumerate(tree.phase_units()):
+    for unit_idx in unit_idxs:
+        node_id, phase_idx, residual = units[unit_idx]
         started = time.perf_counter()
-        entries, num_sources = _compute_unit(
-            graph, tree, node_id, phase_idx, residual, epsilon, fctx
+        entries, num_sources = flat_unit_entries(
+            fctx, node_id, phase_idx, residual, epsilon
         )
         results.append(
             (unit_idx, entries, num_sources, time.perf_counter() - started)
@@ -321,44 +291,27 @@ def _assign_chunks(
     return buckets
 
 
-def _worker_init(
-    graph: Graph, tree: DecompositionTree, epsilon: float, fctx=None
-) -> None:
+def _worker_init(fctx, epsilon: float) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (graph, tree, epsilon, fctx)
+    _WORKER_STATE = (fctx, epsilon)
 
 
 def _worker_chunk(task):
     """Build every unit of one chunk inside a worker process."""
     worker_idx, unit_idxs, child_seed = task
     assert _WORKER_STATE is not None
-    graph, tree, epsilon, fctx = _WORKER_STATE
+    fctx, epsilon = _WORKER_STATE
     # Hygiene for anything in the worker that touches the global RNG:
     # replace the state inherited from the parent's fork (identical in
     # every sibling) with an independent, derived child stream.
     random.seed(child_seed)
-    units = tree.phase_units()
     started = time.perf_counter()
-    results = []
-    for unit_idx in unit_idxs:
-        node_id, phase_idx, residual = units[unit_idx]
-        unit_started = time.perf_counter()
-        entries, num_sources = _compute_unit(
-            graph, tree, node_id, phase_idx, residual, epsilon, fctx
-        )
-        results.append(
-            (unit_idx, entries, num_sources, time.perf_counter() - unit_started)
-        )
+    results = _run_units(fctx, epsilon, unit_idxs)
     return worker_idx, results, time.perf_counter() - started
 
 
 def _build_units_parallel(
-    graph: Graph,
-    tree: DecompositionTree,
-    epsilon: float,
-    jobs: int,
-    seed: SeedLike,
-    fctx=None,
+    fctx, epsilon: float, jobs: int, seed: SeedLike
 ) -> List[Tuple[int, UnitEntries, int, float]]:
     global _WORKER_STATE
     try:
@@ -367,19 +320,20 @@ def _build_units_parallel(
         # No fork start method (e.g. some non-POSIX platforms): the
         # read-only shared state cannot be inherited cheaply, so build
         # serially rather than pickle the graph to every worker.
-        return _build_units_serial(graph, tree, epsilon, fctx)
-    chunks = _assign_chunks(tree, jobs)
+        units = fctx.tree.phase_units()
+        return _run_units(fctx, epsilon, range(len(units)))
+    chunks = _assign_chunks(fctx.tree, jobs)
     tasks = [
         (worker_idx, unit_idxs, derive_seed(seed, "labeling.worker", worker_idx))
         for worker_idx, unit_idxs in enumerate(chunks)
         if unit_idxs
     ]
-    # The flat context (CSR arrays + scratch) is built pre-fork, so the
-    # children inherit it copy-on-write like the graph itself.
-    _WORKER_STATE = (graph, tree, epsilon, fctx)
+    # The flat context (graph, tree, CSR arrays + scratch) is built
+    # pre-fork, so the children inherit it copy-on-write.
+    _WORKER_STATE = (fctx, epsilon)
     try:
         with ctx.Pool(processes=len(tasks), initializer=_worker_init,
-                      initargs=(graph, tree, epsilon, fctx)) as pool:
+                      initargs=(fctx, epsilon)) as pool:
             outcomes = pool.map(_worker_chunk, tasks)
     finally:
         _WORKER_STATE = None

@@ -45,15 +45,13 @@ class PathSeparatorOracle:
         tree: Optional[DecompositionTree] = None,
         parallel: Optional[int] = None,
         seed: SeedLike = 0,
-        backend: Optional[str] = None,
     ) -> "PathSeparatorOracle":
         """Build the oracle: decomposition tree (unless given) + labels.
 
         ``parallel=N`` fans label construction out over N worker
         processes; the result is byte-identical to a serial build (see
         :func:`repro.core.labeling.build_labeling`).  ``seed`` only
-        feeds per-worker child-seed derivation.  ``backend`` selects the
-        label-construction kernels (``"dict"``/``"flat"``/``"auto"``).
+        feeds per-worker child-seed derivation.
         """
         with span("oracle.build", n=graph.num_vertices, epsilon=epsilon):
             if tree is None:
@@ -64,7 +62,6 @@ class PathSeparatorOracle:
                 epsilon=epsilon,
                 parallel=parallel,
                 seed=seed,
-                backend=backend,
             )
         return cls(labeling)
 

@@ -3,8 +3,8 @@
 :func:`incremental_relabel` takes a live :class:`DistanceLabeling`
 and one edge reweight, recomputes exactly the units named by
 :func:`repro.dynamic.invalidate.affected_units` through the same
-``_unit_entries`` / ``batched_dijkstra`` machinery the offline build
-uses, mutates the labeling in place, and returns a :class:`LabelDelta`
+distance-map kernels the offline build uses (:mod:`repro.core.flat`),
+mutates the labeling in place, and returns a :class:`LabelDelta`
 describing every entry that changed.
 
 Byte-identity contract: after the call, ``dump_labeling(labeling)`` is
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Tuple
 
 from repro.core import flat as flat_core
-from repro.core.decomposition import PathKey, phase_portal_distance_maps
+from repro.core.decomposition import PathKey
 from repro.core.labeling import (
     INF,
     DistanceLabeling,
@@ -46,7 +46,6 @@ from repro.core.labeling import (
     VertexLabel,
 )
 from repro.core.portals import epsilon_cover_portals_at
-from repro.graphs.shortest_paths import batched_dijkstra
 from repro.core.serialize import (
     SerializationError,
     decode_path_key,
@@ -160,38 +159,22 @@ def _dist_cache(labeling: DistanceLabeling) -> _UnitDistCache:
     return cache
 
 
-def _flat_context(labeling: DistanceLabeling):
-    """The labeling's long-lived CSR view, or ``None`` without numpy.
+def _flat_context(labeling: DistanceLabeling) -> flat_core.FlatBuildContext:
+    """The labeling's long-lived CSR view.
 
     Built lazily off the current graph and then kept in lock-step with
     it: every reweight that goes through :func:`incremental_relabel`
     also lands in the CSR arrays via ``set_weight``, so cold-unit
-    recomputes can run the same C Dijkstra as the offline flat build.
-    (Mutating ``labeling.graph`` behind the labeling's back already
-    invalidates the unit distance cache's contract; the CSR mirror
-    adds no new requirement.)
+    recomputes run the same kernels as the offline build.  (Mutating
+    ``labeling.graph`` behind the labeling's back already invalidates
+    the unit distance cache's contract; the CSR mirror adds no new
+    requirement.)
     """
-    if not flat_core.flat_available():
-        return None
     ctx = getattr(labeling, "_flat_ctx", None)
     if ctx is None:
         ctx = flat_core.FlatBuildContext(labeling.graph, labeling.tree)
         labeling._flat_ctx = ctx
     return ctx
-
-
-def _unit_distance_maps(ctx, graph, tree, node_id, phase_idx, residual):
-    """Cold-unit distance maps: flat kernel when available and the
-    residual is large enough to amortize the scipy call, else the
-    pure-Python reference.  Both are bit-identical (see
-    :func:`repro.core.flat.flat_distance_maps`)."""
-    if ctx is not None and len(residual) >= flat_core.SMALL_RESIDUAL:
-        return flat_core.flat_phase_distance_maps(
-            ctx, node_id, phase_idx, residual
-        )
-    return phase_portal_distance_maps(
-        graph, tree, node_id, phase_idx, residual
-    )
 
 
 def _phase_sources(phase) -> List[Vertex]:
@@ -445,17 +428,9 @@ def incremental_relabel(
             # Runs before the mutation below, so the CSR mirror still
             # carries the old weight here — as the tightness reasoning
             # requires.
-            if (
-                flat_ctx is not None
-                and len(residual) >= flat_core.SMALL_RESIDUAL
-            ):
-                endpoint_maps = flat_core.flat_distance_maps(
-                    flat_ctx, (u, v), residual
-                )
-            else:
-                endpoint_maps = batched_dijkstra(
-                    graph, (u, v), allowed=residual
-                )
+            endpoint_maps = flat_core.flat_distance_maps(
+                flat_ctx, (u, v), residual
+            )
             tight = _tight_sources(
                 phase, endpoint_maps[u], endpoint_maps[v], w_min
             )
@@ -465,8 +440,7 @@ def incremental_relabel(
                 skipped_units += 1
 
         graph.add_edge(u, v, new_weight)
-        if flat_ctx is not None:
-            flat_ctx.csr.set_weight(u, v, new_weight)
+        flat_ctx.csr.set_weight(u, v, new_weight)
         for key in touched:
             tree.recompute_prefix(key)
 
@@ -484,8 +458,8 @@ def incremental_relabel(
             if maps is None:
                 # Cold unit: full recompute, and the maps seed the
                 # cache so the next update over this unit diffs.
-                maps = _unit_distance_maps(
-                    flat_ctx, graph, tree, node_id, phase_idx, residual
+                maps = flat_core.flat_phase_distance_maps(
+                    flat_ctx, node_id, phase_idx, residual
                 )
                 cache.put(unit, maps)
                 changed = residual

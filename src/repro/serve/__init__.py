@@ -6,9 +6,9 @@ sight.  This package is the serving side of that claim — an asyncio
 TCP service over sharded in-memory label stores, plus the resilient
 client and load generator that measure it, clean and under faults:
 
-* :mod:`repro.serve.store` — :class:`ShardedLabelStore` (eager, JSON
-  ``/1``) and :class:`MappedLabelStore` (mmap'd, binary ``/2``, O(1)
-  open + lazy decode) behind one interface, plus :class:`StoreCatalog`:
+* :mod:`repro.serve.store` — :class:`ShardedLabelStore` (flat labels
+  from a JSON ``/1`` file decoded at load, or from a binary ``/2`` file
+  mmap'd with O(1) open + lazy decode), plus :class:`StoreCatalog`:
   labelings hash-sharded by vertex with O(1) lookup and per-shard size
   accounting.
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire
@@ -78,8 +78,7 @@ from repro.serve.protocol import (
 from repro.serve.server import DEFAULT_MAX_BATCH, MAX_LINE_BYTES, OracleServer
 from repro.serve.store import (
     DEFAULT_NUM_SHARDS,
-    LabelShard,
-    MappedLabelStore,
+    ShardStats,
     ShardedLabelStore,
     StoreCatalog,
 )
@@ -98,10 +97,8 @@ __all__ = [
     "FaultPlanError",
     "FaultRule",
     "FaultStage",
-    "LabelShard",
     "LoadgenError",
     "LoadgenReport",
-    "MappedLabelStore",
     "MAX_LINE_BYTES",
     "OPS",
     "OracleServer",
@@ -110,6 +107,7 @@ __all__ = [
     "RequestFailed",
     "ResilientClient",
     "RetryPolicy",
+    "ShardStats",
     "ShardedLabelStore",
     "StoreCatalog",
     "TRANSIENT_CODES",

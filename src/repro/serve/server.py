@@ -14,10 +14,12 @@ predictably under misuse and load:
   the CLI) stops accepting, lets every in-flight request finish and
   flush its response within ``drain_grace`` seconds, then closes the
   remaining connections.
-* **Optional LRU cache** — keyed on the canonicalized (store, u, v)
-  pair; the estimate is symmetric, so (u, v) and (v, u) share an
-  entry.  A cached answer is the same float object that was computed,
-  so cached and uncached responses are byte-identical.
+* **Optional LRU cache** — keyed on the ordered (store, u, v) pair.
+  The estimate is symmetric in exact arithmetic but not bit for bit
+  (the float combine can differ in the last bit between (u, v) and
+  (v, u)), so the two orders are separate entries.  A cached answer is
+  the same float object that was computed for that order, so cached
+  and uncached responses are byte-identical.
 
 Everything observable goes through :data:`repro.obs.metrics`
 (``serve.*`` names — see docs/observability.md) *and* a small always-on
@@ -557,10 +559,7 @@ class OracleServer:
         traced = tracing_active()
         key = None
         if self.cache.capacity > 0:
-            a, b = u, v
-            if repr(b) < repr(a):
-                a, b = b, a
-            key = (store.name, a, b)
+            key = (store.name, u, v)
             if traced:
                 with span("serve.cache") as cache_span:
                     found = self.cache.get(key)

@@ -10,13 +10,20 @@ across processes and runs (CRC-32 of the vertex's canonical wire
 encoding, not Python's salted ``hash``), so a future multi-process
 split serves exactly the shards this module reports.
 
-Two store flavors behind one interface, picked by sniffing the file:
+Labels are held in one form only, :class:`~repro.core.flat.FlatLabel`,
+and answered by :func:`~repro.core.flat.flat_estimate`.  A
+:class:`ShardedLabelStore` is fed by either codec, picked by sniffing
+the file:
 
-* :class:`ShardedLabelStore` — the JSON (``/1``) path: parse
-  everything up front into per-shard dicts.
-* :class:`MappedLabelStore` — the binary (``/2``) path: ``mmap`` the
-  file, O(1) open, labels decoded lazily per lookup through a small
-  LRU (see :mod:`repro.core.binfmt`).
+* JSON (``/1``) — every label decoded at load time into the overlay;
+  there is no reader behind it.
+* binary (``/2``) — the file is ``mmap``'d (O(1) open) and labels are
+  decoded lazily per lookup through a small LRU (see
+  :mod:`repro.core.binfmt`); labels rewritten by deltas live in the
+  overlay and win over the file.
+
+A ``VertexLabel`` is only built for the LABEL op, by
+:meth:`FlatLabel.to_label <repro.core.flat.FlatLabel.to_label>`.
 
 A :class:`StoreCatalog` maps store names to stores; the server loads
 one store per ``--labels`` file and routes requests by the optional
@@ -28,16 +35,13 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Union
 
 from repro.core.binfmt import BinaryLabelReader, is_binary_labels
-from repro.core.flat import FlatLabel, flat_estimate, resolve_backend
-from repro.core.labeling import VertexLabel, estimate_distance
-from repro.core.serialize import (
-    RemoteLabels,
-    load_labeling,
-    shard_key_bytes,
-)
+from repro.core.flat import FlatLabel, flat_estimate
+from repro.core.labeling import VertexLabel
+from repro.core.serialize import RemoteLabels, load_labeling, shard_key_bytes
 from repro.dynamic.rebuild import (
     Change,
     DeltaError,
@@ -52,9 +56,8 @@ Vertex = Hashable
 __all__ = [
     "DEFAULT_NUM_SHARDS",
     "ClusterStoreView",
-    "LabelShard",
-    "MappedLabelStore",
     "ShardNotOwned",
+    "ShardStats",
     "ShardedLabelStore",
     "StoreCatalog",
     "shard_key",
@@ -62,8 +65,8 @@ __all__ = [
 
 DEFAULT_NUM_SHARDS = 8
 
-#: Decoded-label LRU capacity of a :class:`MappedLabelStore` (labels,
-#: not bytes); 0 decodes on every lookup.
+#: Decoded-label LRU capacity of a ``/2`` store (labels, not bytes);
+#: 0 decodes on every lookup.
 DEFAULT_LABEL_CACHE = 4096
 
 
@@ -78,36 +81,45 @@ def shard_key(v: Vertex) -> bytes:
     return shard_key_bytes(v)
 
 
-class LabelShard:
-    """One hash shard: a plain dict plus its size accounting."""
+class ShardStats(NamedTuple):
+    """One hash shard's accounting row."""
 
-    __slots__ = ("index", "labels", "words")
+    index: int
+    num_labels: int
+    words: int
 
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.labels: Dict[Vertex, VertexLabel] = {}
-        self.words = 0
 
-    def add(self, label: VertexLabel) -> None:
-        self.labels[label.vertex] = label
-        self.words += label.words
-
-    @property
-    def num_labels(self) -> int:
-        return len(self.labels)
+def _check_next_delta(delta: LabelDelta, epsilon: float, epoch: int,
+                      owner: str) -> None:
+    """Strict epoch gate: *delta* must carry exactly ``epoch + 1`` and
+    the target's epsilon.  Idempotence for replays and gap detection
+    are the server's policy layer, which answers ``ok/noop`` and
+    ``stale_delta`` respectively."""
+    if float(delta.epsilon) != float(epsilon):
+        raise DeltaError(
+            f"delta epsilon {delta.epsilon} differs from store "
+            f"epsilon {epsilon}"
+        )
+    if delta.epoch != epoch + 1:
+        raise DeltaError(
+            f"delta epoch {delta.epoch} out of sequence "
+            f"({owner} expects {epoch + 1})"
+        )
 
 
 class ShardedLabelStore:
     """One labeling, hash-sharded by vertex, with O(1) label lookup.
 
-    With ``backend="flat"`` (the default wherever
-    :func:`repro.core.flat.resolve_backend` finds the flat core's
-    dependencies) the DIST/BATCH hot path answers from a direct
-    vertex -> :class:`~repro.core.flat.FlatLabel` index — skipping the
-    per-query canonical-encode + CRC shard routing, which costs as much
-    as the combine itself — via :func:`~repro.core.flat.flat_estimate`.
-    Answers are bit-identical to the dict path; the sharded dicts stay
-    the source of truth for LABEL, serialization, and accounting.
+    ``_overlay`` maps vertex -> :class:`FlatLabel` and always wins.  A
+    ``/1`` store keeps every label there and has no ``reader``; a
+    ``/2`` store keeps only delta-rewritten labels there and decodes
+    the rest from its mmap'd ``reader`` through an LRU of
+    ``label_cache`` labels.  Lookup, delta application and accounting
+    are the same code for both.
+
+    Per-shard label and word counts are plain integers: computed at
+    load (read from the ``/2`` shard directory, which decodes nothing)
+    and kept exact by every applied delta.
     """
 
     def __init__(
@@ -116,21 +128,20 @@ class ShardedLabelStore:
         epsilon: float,
         num_shards: int = DEFAULT_NUM_SHARDS,
         source: Optional[str] = None,
-        backend: Optional[str] = None,
+        reader: Optional[BinaryLabelReader] = None,
+        label_cache: int = DEFAULT_LABEL_CACHE,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.name = name
         self.epsilon = epsilon
         self.source = source
-        self.backend = resolve_backend(backend)
-        # vertex -> FlatLabel, memoized lazily by estimate() so load
-        # time stays flat-free; entries for delta-touched vertices are
-        # dropped and rebuilt on next query.
-        self._flat: Optional[Dict[Vertex, FlatLabel]] = (
-            {} if self.backend == "flat" else None
-        )
-        self.shards: List[LabelShard] = [LabelShard(i) for i in range(num_shards)]
+        self.reader = reader
+        self._overlay: Dict[Vertex, FlatLabel] = {}
+        self._cache: "OrderedDict[Vertex, FlatLabel]" = OrderedDict()
+        self._cache_capacity = label_cache
+        self._shard_labels = [0] * num_shards
+        self._shard_words = [0] * num_shards
         self.label_epoch = 0
         self.applied_deltas = 0
 
@@ -142,12 +153,38 @@ class ShardedLabelStore:
         remote: RemoteLabels,
         num_shards: int = DEFAULT_NUM_SHARDS,
         source: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> "ShardedLabelStore":
-        store = cls(name, remote.epsilon, num_shards, source=source,
-                    backend=backend)
+        """A ``/1``-style store: every label converted once, up front."""
+        store = cls(name, remote.epsilon, num_shards, source=source)
         for label in remote.labels.values():
-            store.shards[store.shard_index(label.vertex)].add(label)
+            flat = FlatLabel.from_label(label)
+            store._overlay[label.vertex] = flat
+            shard = store.shard_index(label.vertex)
+            store._shard_labels[shard] += 1
+            store._shard_words[shard] += flat.words
+        return store
+
+    @classmethod
+    def mapped(
+        cls,
+        path: Union[str, Path],
+        name: Optional[str] = None,
+        label_cache: int = DEFAULT_LABEL_CACHE,
+    ) -> "ShardedLabelStore":
+        """A store served straight off a ``/2`` file's ``mmap``.
+
+        Opening is O(1) in the label count: map the file, read the
+        header and shard directory.  The shard layout is the one baked
+        in at pack time (``repro pack --shards``), so every process
+        mapping this file agrees on routing.
+        """
+        path = Path(path)
+        reader = BinaryLabelReader(path)
+        shards = range(reader.num_shards)
+        store = cls(name or path.stem, float(reader.epsilon), len(shards),
+                    source=str(path), reader=reader, label_cache=label_cache)
+        store._shard_labels = [reader.shard_labels(i) for i in shards]
+        store._shard_words = [reader.shard_words(i) for i in shards]
         return store
 
     @classmethod
@@ -156,14 +193,12 @@ class ShardedLabelStore:
         path: Union[str, Path],
         num_shards: int = DEFAULT_NUM_SHARDS,
         name: Optional[str] = None,
-        backend: Optional[str] = None,
-    ):
+    ) -> "ShardedLabelStore":
         """Load a ``repro-distance-labels`` file into a store.
 
-        The codec is sniffed: a binary (``/2``) file returns a
-        :class:`MappedLabelStore` (O(1) open, lazy decode); a JSON
-        (``/1``) file parses eagerly into a :class:`ShardedLabelStore`.
-        Both answer the same store interface.
+        The codec is sniffed: a binary (``/2``) file is mapped (O(1)
+        open, lazy decode, its own pack-time shard count); a JSON
+        (``/1``) file is parsed eagerly into *num_shards* shards.
 
         Format validation happens here, at load time: a file with an
         unknown format version is refused before the server ever binds
@@ -174,48 +209,55 @@ class ShardedLabelStore:
         with open(path, "rb") as handle:
             head = handle.read(8)
         if is_binary_labels(head):
-            return MappedLabelStore(path, name=name, backend=backend)
-        remote = load_labeling(path)
+            return cls.mapped(path, name=name)
         return cls.from_remote(
-            name or path.stem, remote, num_shards, source=str(path),
-            backend=backend,
+            name or path.stem, load_labeling(path), num_shards,
+            source=str(path),
         )
 
     # -- lookup ---------------------------------------------------------
     def shard_index(self, v: Vertex) -> int:
-        return zlib.crc32(shard_key(v)) % len(self.shards)
+        return zlib.crc32(shard_key(v)) % len(self._shard_labels)
+
+    def flat_label(self, v: Vertex) -> FlatLabel:
+        """*v*'s label: overlay first, then the LRU, then the file."""
+        found = self._overlay.get(v)
+        if found is not None:
+            return found
+        if self.reader is not None:
+            cache = self._cache
+            found = cache.get(v)
+            if found is not None:
+                cache.move_to_end(v)
+                return found
+            found = self.reader.get_flat(v)
+            if found is not None:
+                if self._cache_capacity > 0:
+                    cache[v] = found
+                    if len(cache) > self._cache_capacity:
+                        cache.popitem(last=False)
+                return found
+        raise GraphError(f"vertex {v!r} has no label in store {self.name!r}")
 
     def label(self, v: Vertex) -> VertexLabel:
-        try:
-            return self.shards[self.shard_index(v)].labels[v]
-        except KeyError:
-            raise GraphError(
-                f"vertex {v!r} has no label in store {self.name!r}"
-            ) from None
+        """The dict form, for the LABEL op (memoized by the FlatLabel)."""
+        return self.flat_label(v).to_label()
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.shards[self.shard_index(v)].labels
+        return v in self._overlay or (
+            self.reader is not None and v in self.reader
+        )
 
     def estimate(self, u: Vertex, v: Vertex) -> float:
-        """Theorem-2 combine step on two stored labels; exactly
-        :meth:`RemoteLabels.estimate` on the same inputs (bit-identical
-        between backends)."""
-        flat = self._flat
-        if flat is None:
-            return estimate_distance(self.label(u), self.label(v))
-        fu = flat.get(u)
-        if fu is None:
-            # self.label raises the store's canonical missing-vertex
-            # error for truly absent vertices.
-            fu = flat[u] = FlatLabel.from_label(self.label(u))
-        fv = flat.get(v)
-        if fv is None:
-            fv = flat[v] = FlatLabel.from_label(self.label(v))
-        return flat_estimate(fu, fv)
+        """Theorem-2 combine step on two stored labels; bit-identical to
+        :meth:`RemoteLabels.estimate` on the same inputs."""
+        return flat_estimate(self.flat_label(u), self.flat_label(v))
 
     def vertices(self) -> Iterator[Vertex]:
-        for shard in self.shards:
-            yield from shard.labels
+        """Vertices in source order (``/2``: portals stay undecoded)."""
+        if self.reader is None:
+            return iter(self._overlay)
+        return self.reader.iter_vertices()
 
     # -- dynamic updates ------------------------------------------------
     def apply_label_changes(
@@ -224,65 +266,53 @@ class ShardedLabelStore:
         removals: List[Removal],
         require_vertices: bool = True,
     ) -> Tuple[int, int]:
-        """Apply raw entry changes/removals to the sharded dicts,
-        keeping per-shard word accounting exact.  No epoch logic here —
-        that is :meth:`apply_delta`'s job."""
-        applied_changes = 0
+        """Apply raw entry changes/removals, keeping per-shard word
+        accounting exact.  No epoch logic here — that is
+        :meth:`apply_delta`'s job.
+
+        Changes are grouped per vertex, so each touched label is
+        rebuilt once from a fresh entry dict (never the memoized
+        ``to_label`` object) and installed in the overlay.  With
+        ``require_vertices``, a delta naming an unlabeled vertex is
+        refused before anything is applied.
+        """
+        grouped: Dict[Vertex, Tuple[list, list]] = {}
         for vx, key, portals in changes:
-            shard = self.shards[self.shard_index(vx)]
-            label = shard.labels.get(vx)
-            if label is None:
-                if require_vertices:
-                    raise DeltaError(
-                        f"delta names vertex {vx!r} with no label in "
-                        f"store {self.name!r}"
-                    )
-                continue
-            before = label.words
-            _insert_entry_sorted(label.entries, key, list(portals))
-            shard.words += label.words - before
-            if self._flat is not None:
-                self._flat.pop(vx, None)
-            applied_changes += 1
-        applied_removals = 0
+            grouped.setdefault(vx, ([], []))[0].append((key, portals))
         for vx, key in removals:
-            shard = self.shards[self.shard_index(vx)]
-            label = shard.labels.get(vx)
-            if label is None:
+            grouped.setdefault(vx, ([], []))[1].append(key)
+        current: Dict[Vertex, FlatLabel] = {}
+        for vx in grouped:
+            try:
+                current[vx] = self.flat_label(vx)
+            except GraphError:
                 if require_vertices:
                     raise DeltaError(
                         f"delta names vertex {vx!r} with no label in "
                         f"store {self.name!r}"
-                    )
-                continue
-            before = label.words
-            if label.entries.pop(key, None) is not None:
-                shard.words += label.words - before
-                if self._flat is not None:
-                    self._flat.pop(vx, None)
-                applied_removals += 1
+                    ) from None
+        applied_changes = applied_removals = 0
+        for vx, old in current.items():
+            vx_changes, vx_removals = grouped[vx]
+            entries = old.entries()
+            for key, portals in vx_changes:
+                _insert_entry_sorted(entries, key, list(portals))
+            applied_changes += len(vx_changes)
+            for key in vx_removals:
+                if entries.pop(key, None) is not None:
+                    applied_removals += 1
+            new = FlatLabel.from_entries(old.vertex, entries)
+            self._overlay[vx] = new
+            self._cache.pop(vx, None)
+            self._shard_words[self.shard_index(vx)] += new.words - old.words
         return applied_changes, applied_removals
 
     def apply_delta(self, delta: LabelDelta) -> dict:
-        """Install the next epoch's label delta.
-
-        Strict: the delta must carry exactly ``label_epoch + 1`` and
-        the store's epsilon.  Idempotence for replays (epoch <= current)
-        and gap detection are the server's policy layer
-        (:meth:`repro.serve.server.OracleServer`), which answers
-        ``ok/noop`` and ``stale_delta`` respectively.
-        """
-        if float(delta.epsilon) != float(self.epsilon):
-            raise DeltaError(
-                f"delta epsilon {delta.epsilon} differs from store "
-                f"epsilon {self.epsilon}"
-            )
-        expected = self.label_epoch + 1
-        if delta.epoch != expected:
-            raise DeltaError(
-                f"delta epoch {delta.epoch} out of sequence "
-                f"(store {self.name!r} expects {expected})"
-            )
+        """Install the next epoch's label delta (strictly
+        ``label_epoch + 1``, same epsilon)."""
+        _check_next_delta(
+            delta, self.epsilon, self.label_epoch, f"store {self.name!r}"
+        )
         changes, removals = self.apply_label_changes(
             delta.changes, delta.removals
         )
@@ -297,274 +327,12 @@ class ShardedLabelStore:
     # -- accounting -----------------------------------------------------
     @property
     def codec(self) -> str:
-        return "json"
+        return "json" if self.reader is None else "binary"
 
     @property
     def mapped_bytes(self) -> int:
         """Bytes of file mapped into the process (0: fully parsed)."""
-        return 0
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def num_labels(self) -> int:
-        return sum(shard.num_labels for shard in self.shards)
-
-    @property
-    def total_words(self) -> int:
-        return sum(shard.words for shard in self.shards)
-
-    def stats(self) -> dict:
-        """JSON-ready per-store breakdown (the STATS op's payload)."""
-        return {
-            "epsilon": self.epsilon,
-            "labels": self.num_labels,
-            "words": self.total_words,
-            "codec": self.codec,
-            "backend": self.backend,
-            "mapped_bytes": self.mapped_bytes,
-            "source": self.source,
-            "label_epoch": self.label_epoch,
-            "applied_deltas": self.applied_deltas,
-            "shards": [
-                {"labels": shard.num_labels, "words": shard.words}
-                for shard in self.shards
-            ],
-        }
-
-
-class MappedShard:
-    """One shard of a mapped store: the accounting view.
-
-    Counts and words come from the file's shard directory — reading
-    them decodes nothing — so STATS and the ``serve.shard.*`` gauges
-    cost the same as the eager store's.
-    """
-
-    __slots__ = ("index", "_reader")
-
-    def __init__(self, index: int, reader: BinaryLabelReader) -> None:
-        self.index = index
-        self._reader = reader
-
-    @property
-    def num_labels(self) -> int:
-        return self._reader.shard_labels(self.index)
-
-    @property
-    def words(self) -> int:
-        return self._reader.shard_words(self.index)
-
-
-class MappedLabelStore:
-    """One ``/2`` labeling served straight off its ``mmap``.
-
-    Opening is O(1) in the label count: map the file, read the header.
-    A lookup routes through the file's shard directory and hash index
-    and decodes exactly one record; a small LRU keeps hot labels
-    materialized so repeated queries don't re-decode.  The shard
-    layout is the one baked in at pack time (``repro pack --shards``),
-    so every process mapping this file agrees on routing.
-
-    Same interface as :class:`ShardedLabelStore`; the server does not
-    know which one it is holding.
-
-    With ``backend="flat"`` (the auto default when available) the LRU
-    holds :class:`~repro.core.flat.FlatLabel` objects decoded straight
-    off the record bytes (:meth:`~repro.core.binfmt.BinaryLabelReader
-    .get_flat`), ``estimate`` runs the flat combine, and ``label``
-    materializes a dict label on demand — byte-identical in every
-    observable reply.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        name: Optional[str] = None,
-        label_cache: int = DEFAULT_LABEL_CACHE,
-        backend: Optional[str] = None,
-    ) -> None:
-        path = Path(path)
-        self.reader = BinaryLabelReader(path)
-        self.name = name or path.stem
-        self.epsilon = float(self.reader.epsilon)
-        self.source = str(path)
-        self.backend = resolve_backend(backend)
-        self.shards: List[MappedShard] = [
-            MappedShard(i, self.reader) for i in range(self.reader.num_shards)
-        ]
-        self._cache_capacity = label_cache
-        # The decoded-label LRU: VertexLabel values on the dict
-        # backend, FlatLabel values on the flat backend.
-        self._cache: "OrderedDict[Vertex, object]" = OrderedDict()
-        # Labels rewritten by applied deltas: the mmap'd file is
-        # immutable, so updated labels live here and win over the
-        # reader.  Never evicted (delta footprints are small).
-        self._overlay: Dict[Vertex, VertexLabel] = {}
-        # Flat mirror of the overlay, refreshed after every mutation,
-        # so the flat estimate path sees delta-applied labels.
-        self._overlay_flat: Dict[Vertex, FlatLabel] = {}
-        self._overlay_words_delta = 0
-        self.label_epoch = 0
-        self.applied_deltas = 0
-
-    # -- lookup ---------------------------------------------------------
-    def shard_index(self, v: Vertex) -> int:
-        return self.reader.shard_of(v)
-
-    def _flat_label(self, v: Vertex) -> FlatLabel:
-        found = self._overlay_flat.get(v)
-        if found is not None:
-            return found
-        found = self._cache.get(v)
-        if found is not None:
-            self._cache.move_to_end(v)
-            return found
-        label = self.reader.get_flat(v)
-        if label is None:
-            raise GraphError(
-                f"vertex {v!r} has no label in store {self.name!r}"
-            ) from None
-        if self._cache_capacity > 0:
-            self._cache[v] = label
-            while len(self._cache) > self._cache_capacity:
-                self._cache.popitem(last=False)
-        return label
-
-    def label(self, v: Vertex) -> VertexLabel:
-        found = self._overlay.get(v)
-        if found is not None:
-            return found
-        if self.backend == "flat":
-            # Storage order is preserved through FlatLabel, so this
-            # reconstruction is the record's exact dict decode.
-            return self._flat_label(v).to_label()
-        found = self._cache.get(v)
-        if found is not None:
-            self._cache.move_to_end(v)
-            return found
-        label = self.reader.get(v)
-        if label is None:
-            raise GraphError(
-                f"vertex {v!r} has no label in store {self.name!r}"
-            ) from None
-        if self._cache_capacity > 0:
-            self._cache[v] = label
-            while len(self._cache) > self._cache_capacity:
-                self._cache.popitem(last=False)
-        return label
-
-    def __contains__(self, v: Vertex) -> bool:
-        return (
-            v in self._overlay
-            or v in self._cache
-            or self.reader.get(v) is not None
-        )
-
-    def estimate(self, u: Vertex, v: Vertex) -> float:
-        if self.backend == "flat":
-            return flat_estimate(self._flat_label(u), self._flat_label(v))
-        return estimate_distance(self.label(u), self.label(v))
-
-    def vertices(self) -> Iterator[Vertex]:
-        """Vertices in record order (portals stay undecoded)."""
-        return self.reader.iter_vertices()
-
-    # -- dynamic updates ------------------------------------------------
-    def _materialize(self, v: Vertex) -> Optional[VertexLabel]:
-        """The overlay copy of *v*'s label, creating it from a fresh
-        record decode on first touch.  Decodes from the reader (not the
-        LRU) so the overlay owns its object, then drops any stale LRU
-        entry so lookups see the overlay."""
-        label = self._overlay.get(v)
-        if label is None:
-            label = self.reader.get(v)
-            if label is None:
-                return None
-            self._overlay[v] = label
-            if self.backend == "flat":
-                self._overlay_flat[v] = FlatLabel.from_label(label)
-        self._cache.pop(v, None)
-        return label
-
-    def apply_label_changes(
-        self,
-        changes: List[Change],
-        removals: List[Removal],
-        require_vertices: bool = True,
-    ) -> Tuple[int, int]:
-        """Apply entry changes by copying touched labels into the
-        overlay; the mapped file stays untouched.  Word accounting for
-        the store total rides in ``_overlay_words_delta`` (the per-shard
-        directory still reports pack-time words — see :meth:`stats`)."""
-        applied_changes = 0
-        for vx, key, portals in changes:
-            label = self._materialize(vx)
-            if label is None:
-                if require_vertices:
-                    raise DeltaError(
-                        f"delta names vertex {vx!r} with no label in "
-                        f"store {self.name!r}"
-                    )
-                continue
-            before = label.words
-            _insert_entry_sorted(label.entries, key, list(portals))
-            self._overlay_words_delta += label.words - before
-            if self.backend == "flat":
-                self._overlay_flat[vx] = FlatLabel.from_label(label)
-            applied_changes += 1
-        applied_removals = 0
-        for vx, key in removals:
-            label = self._materialize(vx)
-            if label is None:
-                if require_vertices:
-                    raise DeltaError(
-                        f"delta names vertex {vx!r} with no label in "
-                        f"store {self.name!r}"
-                    )
-                continue
-            before = label.words
-            if label.entries.pop(key, None) is not None:
-                self._overlay_words_delta += label.words - before
-                if self.backend == "flat":
-                    self._overlay_flat[vx] = FlatLabel.from_label(label)
-                applied_removals += 1
-        return applied_changes, applied_removals
-
-    def apply_delta(self, delta: LabelDelta) -> dict:
-        """Same contract as :meth:`ShardedLabelStore.apply_delta`."""
-        if float(delta.epsilon) != float(self.epsilon):
-            raise DeltaError(
-                f"delta epsilon {delta.epsilon} differs from store "
-                f"epsilon {self.epsilon}"
-            )
-        expected = self.label_epoch + 1
-        if delta.epoch != expected:
-            raise DeltaError(
-                f"delta epoch {delta.epoch} out of sequence "
-                f"(store {self.name!r} expects {expected})"
-            )
-        changes, removals = self.apply_label_changes(
-            delta.changes, delta.removals
-        )
-        self.label_epoch = delta.epoch
-        self.applied_deltas += 1
-        return {
-            "epoch": self.label_epoch,
-            "changes": changes,
-            "removals": removals,
-        }
-
-    # -- accounting -----------------------------------------------------
-    @property
-    def codec(self) -> str:
-        return "binary"
-
-    @property
-    def mapped_bytes(self) -> int:
-        return self.reader.mapped_bytes
+        return 0 if self.reader is None else self.reader.mapped_bytes
 
     @property
     def cached_labels(self) -> int:
@@ -572,42 +340,47 @@ class MappedLabelStore:
 
     @property
     def num_shards(self) -> int:
-        return len(self.shards)
+        return len(self._shard_labels)
 
     @property
     def num_labels(self) -> int:
-        return self.reader.num_labels
+        return sum(self._shard_labels)
 
     @property
     def total_words(self) -> int:
-        return self.reader.total_words + self._overlay_words_delta
+        return sum(self._shard_words)
+
+    @property
+    def shards(self) -> List[ShardStats]:
+        rows = zip(self._shard_labels, self._shard_words)
+        return [ShardStats(i, *row) for i, row in enumerate(rows)]
 
     def stats(self) -> dict:
-        return {
+        """JSON-ready per-store breakdown (the STATS op's payload)."""
+        stats = {
             "epsilon": self.epsilon,
             "labels": self.num_labels,
             "words": self.total_words,
             "codec": self.codec,
-            "backend": self.backend,
             "mapped_bytes": self.mapped_bytes,
-            "cached_labels": self.cached_labels,
             "source": self.source,
             "label_epoch": self.label_epoch,
             "applied_deltas": self.applied_deltas,
-            "overlay_labels": len(self._overlay),
-            # Per-shard rows are the pack-time directory; overlay words
-            # are accounted in the store total only.
             "shards": [
                 {"labels": shard.num_labels, "words": shard.words}
                 for shard in self.shards
             ],
         }
+        if self.reader is not None:
+            stats["cached_labels"] = self.cached_labels
+            stats["overlay_labels"] = len(self._overlay)
+        return stats
 
     def close(self) -> None:
         self._cache.clear()
         self._overlay.clear()
-        self._overlay_flat.clear()
-        self.reader.close()
+        if self.reader is not None:
+            self.reader.close()
 
 
 class StoreCatalog:
@@ -646,6 +419,9 @@ class StoreCatalog:
 
     def __len__(self) -> int:
         return len(self._stores)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._stores
 
     def __iter__(self) -> Iterator[ShardedLabelStore]:
         return iter(self._stores.values())
@@ -716,14 +492,12 @@ class ClusterStoreView:
         file's internal hash buckets)."""
         return self.cluster.map.shard_of(v)
 
-    def _store_of(self, v: Vertex):
+    def _store_of(self, v: Vertex) -> ShardedLabelStore:
         shard = self.cluster.map.shard_of(v)
-        if shard not in self.cluster.owned:
+        name = self.cluster.store_name(shard)
+        if shard not in self.cluster.owned or name not in self.catalog:
             raise ShardNotOwned(v, shard, self.cluster.node_id)
-        try:
-            return self.catalog.get(self.cluster.store_name(shard))
-        except KeyError:
-            raise ShardNotOwned(v, shard, self.cluster.node_id) from None
+        return self.catalog.get(name)
 
     def label(self, v: Vertex) -> VertexLabel:
         return self._store_of(v).label(v)
@@ -737,15 +511,15 @@ class ClusterStoreView:
     def estimate(self, u: Vertex, v: Vertex) -> float:
         """The same Theorem-2 combine as a single store — both labels
         are fetched through shard routing first."""
-        return estimate_distance(self.label(u), self.label(v))
+        return flat_estimate(
+            self._store_of(u).flat_label(u), self._store_of(v).flat_label(v)
+        )
 
     def vertices(self) -> Iterator[Vertex]:
         for shard in sorted(self.cluster.owned):
-            try:
-                store = self.catalog.get(self.cluster.store_name(shard))
-            except KeyError:
-                continue
-            yield from store.vertices()
+            name = self.cluster.store_name(shard)
+            if name in self.catalog:
+                yield from self.catalog.get(name).vertices()
 
     # -- dynamic updates ------------------------------------------------
     def apply_delta(self, delta: LabelDelta) -> dict:
@@ -758,42 +532,20 @@ class ClusterStoreView:
         — one update sequence per node, regardless of how many shard
         packs it holds.
         """
-        if float(delta.epsilon) != float(self.epsilon):
-            raise DeltaError(
-                f"delta epsilon {delta.epsilon} differs from store "
-                f"epsilon {self.epsilon}"
-            )
-        expected = self.label_epoch + 1
-        if delta.epoch != expected:
-            raise DeltaError(
-                f"delta epoch {delta.epoch} out of sequence "
-                f"(node {self.cluster.node_id!r} expects {expected})"
-            )
+        _check_next_delta(
+            delta, self.epsilon, self.label_epoch,
+            f"node {self.cluster.node_id!r}",
+        )
         by_store: Dict[str, Tuple[List[Change], List[Removal]]] = {}
         skipped = 0
-
-        def slice_of(vx):
-            nonlocal skipped
-            shard = self.cluster.map.shard_of(vx)
-            if shard not in self.cluster.owned:
-                skipped += 1
-                return None
-            name = self.cluster.store_name(shard)
-            try:
-                self.catalog.get(name)
-            except KeyError:
-                skipped += 1
-                return None
-            return by_store.setdefault(name, ([], []))
-
-        for vx, key, portals in delta.changes:
-            entry = slice_of(vx)
-            if entry is not None:
-                entry[0].append((vx, key, portals))
-        for vx, key in delta.removals:
-            entry = slice_of(vx)
-            if entry is not None:
-                entry[1].append((vx, key))
+        for kind, items in ((0, delta.changes), (1, delta.removals)):
+            for item in items:
+                shard = self.cluster.map.shard_of(item[0])
+                name = self.cluster.store_name(shard)
+                if shard in self.cluster.owned and name in self.catalog:
+                    by_store.setdefault(name, ([], []))[kind].append(item)
+                else:
+                    skipped += 1
         changes = removals = 0
         for name, (store_changes, store_removals) in by_store.items():
             c, r = self.catalog.get(name).apply_label_changes(

@@ -1,44 +1,53 @@
-"""Differential test wall: the flat backend IS the dict backend.
+"""Differential test wall: every production path equals the dict reference.
 
-Every layer that can observe a labeling is compared byte-for-byte
-between ``backend="dict"`` (the pure-Python reference) and
-``backend="flat"`` (the CSR/flat-array core):
+The reference is the all-dict labeling.  Raising
+``repro.core.flat.SMALL_RESIDUAL`` above n routes every unit of a build
+(and of an incremental relabel) through the dict kernels
+(``_unit_entries``, ``batched_dijkstra``), and ``estimate_distance``
+combines the resulting ``VertexLabel`` objects.  Against that reference,
+byte for byte:
 
-* construction — ``dump_labeling`` JSON text and the packed ``/2``
-  binary blob are compared as raw bytes, across **all five separator
-  engines**, serial and parallel builds;
-* serving — a server backed by a flat store must emit DIST and BATCH
-  reply *lines* identical to a server backed by a dict store, for the
-  JSON and the mmap'd binary codec alike;
-* dynamics — applying the same ``LabelDelta`` sequence to a dict store
-  and a flat store must leave their answers byte-identical.
+* construction — the production build's ``dump_labeling`` JSON text
+  and packed ``/2`` blob, across **all five separator engines**, serial
+  and parallel;
+* estimates — ``flat_estimate`` over the production labels, on every
+  pair;
+* serving — DIST and BATCH reply *lines* of a server over the one
+  store (JSON codec, mmap'd binary codec, and a cluster node's view
+  over shard packs) must equal lines encoded from the reference
+  estimates, before and after deltas pushed through the DELTA op.
 
-This wall runs unconditionally: numpy/scipy are part of the supported
-environment, so a missing flat backend is a *failure* here, never a
-skip.  (The graceful-degradation path is covered separately in
-``tests/core/test_flat_unit.py`` with monkeypatched imports.)
+This wall runs unconditionally: numpy/scipy are required, so nothing
+here can skip.
 """
 
 import asyncio
+import contextlib
+import copy
 import json
-import math
 import random
 
 import pytest
 
+from repro.cluster.files import split_labels
+from repro.cluster.map import ClusterMap, ClusterNodeState, store_name_for_shard
 from repro.core import (
     CenterBagEngine,
+    FlatLabel,
     GreedyPeelingEngine,
     StrongGreedyEngine,
     TreeCentroidEngine,
     build_decomposition,
     build_labeling,
     dump_labeling,
-    flat_available,
+    flat_estimate,
     load_labeling,
 )
+from repro.core import flat as flat_core
 from repro.core.binfmt import pack_labeling
+from repro.core.labeling import estimate_distance
 from repro.dynamic import incremental_relabel
+from repro.dynamic.rebuild import delta_to_dict
 from repro.generators import (
     grid_2d,
     k_tree,
@@ -49,6 +58,7 @@ from repro.generators import (
 from repro.planar import PlanarCycleEngine
 from repro.serve import OracleServer, ShardedLabelStore, StoreCatalog
 from repro.serve.loadgen import synthesize_pairs
+from repro.serve.protocol import encode_response, estimate_field, ok_response
 
 from tests.dynamic.test_rebuild import random_reweight
 from tests.serve.conftest import rpc
@@ -86,74 +96,64 @@ ENGINE_CASES = [
     ),
 ]
 
+EPSILON = 0.25
 
-def _build_pair(make_graph, make_engine, epsilon=0.25):
-    """The same (graph, tree) labeled by both backends."""
+
+@contextlib.contextmanager
+def reference_kernels():
+    """Route every build and incremental unit through the dict kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flat_core, "SMALL_RESIDUAL", 1 << 62)
+        yield
+
+
+def reference_labeling(graph, tree, epsilon=EPSILON):
+    with reference_kernels():
+        return build_labeling(graph, tree, epsilon=epsilon)
+
+
+def _build_pair(make_graph, make_engine, epsilon=EPSILON):
+    """The production labeling and the reference labeling of one
+    (graph, tree), each over its own copy so relabels stay independent."""
     graph = make_graph()
     tree = build_decomposition(graph, engine=make_engine())
-    ref = build_labeling(graph, tree, epsilon=epsilon, backend="dict")
-    flat = build_labeling(graph, tree, epsilon=epsilon, backend="flat")
-    return graph, tree, ref, flat
+    ref_graph, ref_tree = copy.deepcopy((graph, tree))
+    ref = reference_labeling(ref_graph, ref_tree, epsilon)
+    prod = build_labeling(graph, tree, epsilon=epsilon)
+    return graph, tree, ref, prod
 
 
-def test_flat_backend_is_available_here():
-    # The wall's no-skip guarantee: in this environment the flat
-    # backend must exist.  If numpy/scipy ever vanish from the image,
-    # this fails loudly instead of silently skipping the whole wall.
-    assert flat_available()
-
-
-class TestConstructionByteIdentity:
-    @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
-    def test_json_and_binary_dumps_identical(self, make_graph, make_engine):
-        _, _, ref, flat = _build_pair(make_graph, make_engine)
-        assert dump_labeling(flat) == dump_labeling(ref)
-        for num_shards in (1, 4):
-            assert pack_labeling(flat, num_shards=num_shards) == pack_labeling(
-                ref, num_shards=num_shards
-            )
-
-    @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
-    def test_parallel_flat_build_identical(self, make_graph, make_engine):
-        graph, tree, ref, _ = _build_pair(make_graph, make_engine)
-        par = build_labeling(
-            graph, tree, epsilon=0.25, backend="flat", parallel=2
+def reference_lines(ref, pairs):
+    """The DIST lines then the BATCH line a server must send for
+    :func:`query_requests`, encoded from the reference estimates."""
+    labels = ref.labels
+    fields = [
+        estimate_field(estimate_distance(labels[u], labels[v]))
+        for u, v in pairs
+    ]
+    lines = [
+        encode_response(
+            ok_response(i, {"op": "DIST", "epsilon": ref.epsilon, **f})
         )
-        assert dump_labeling(par) == dump_labeling(ref)
-
-    @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
-    def test_estimates_bit_equal_on_all_pairs(self, make_graph, make_engine):
-        graph, _, ref, flat = _build_pair(make_graph, make_engine)
-        verts = sorted(graph.vertices(), key=repr)
-        for u in verts:
-            for v in verts:
-                a = ref.estimate(u, v)
-                b = flat.estimate(u, v)
-                # Bitwise: repr distinguishes every finite float, and
-                # inf == inf covers the unreachable case.
-                assert repr(a) == repr(b), (u, v, a, b)
+        for i, f in enumerate(fields)
+    ]
+    batch = {
+        "op": "BATCH",
+        "epsilon": ref.epsilon,
+        "results": [{"ok": True, **f} for f in fields],
+    }
+    lines.append(encode_response(ok_response(len(pairs), batch)))
+    return lines
 
 
-async def _serve_lines(store, requests):
-    """Raw reply lines for *requests* from a fresh one-store server."""
-    catalog = StoreCatalog()
-    catalog.add(store)
-    server = OracleServer(catalog, port=0)
-    await server.start()
-    try:
-        return await rpc(server.port, requests)
-    finally:
-        await server.shutdown()
-
-
-def _query_requests(pairs):
+def query_requests(pairs):
     requests = [
         {"id": i, "op": "DIST", "u": wire(u), "v": wire(v)}
         for i, (u, v) in enumerate(pairs)
     ]
     requests.append(
         {
-            "id": len(requests),
+            "id": len(pairs),
             "op": "BATCH",
             "pairs": [[wire(u), wire(v)] for u, v in pairs],
         }
@@ -161,116 +161,227 @@ def _query_requests(pairs):
     return requests
 
 
+def wall_pairs(vertices, count, seed):
+    """Sampled pairs plus their reversals, so the pair cache (on in
+    every wall server) sees both orders of each pair."""
+    pairs = synthesize_pairs(list(vertices), count, seed=seed)
+    return pairs + [(v, u) for u, v in pairs]
+
+
+def serve_steps(catalog, steps, cluster=None):
+    """Reply lines for each request list in *steps*, all sent to one
+    server (pair cache on) over fresh connections, in order."""
+
+    async def main():
+        server = OracleServer(catalog, port=0, cache_size=64, cluster=cluster)
+        await server.start()
+        try:
+            return [await rpc(server.port, requests) for requests in steps]
+        finally:
+            await server.shutdown()
+
+    return asyncio.run(main())
+
+
+def catalog_of(store):
+    catalog = StoreCatalog()
+    catalog.add(store)
+    return catalog
+
+
+def updates_in_lockstep(prod, ref, count, seed):
+    """Apply *count* random reweights to both labelings; yields the
+    production delta (epoch-stamped) after each one, having checked
+    that the reference relabel produced the same delta."""
+    rng = random.Random(seed)
+    for epoch in range(1, count + 1):
+        update = random_reweight(rng, prod.graph)
+        delta = incremental_relabel(prod, update)
+        with reference_kernels():
+            ref_delta = incremental_relabel(ref, update)
+        assert delta_to_dict(delta) == delta_to_dict(ref_delta)
+        delta.epoch = epoch
+        yield delta
+
+
+def delta_request(delta, request_id):
+    return {
+        "id": request_id,
+        "op": "DELTA",
+        "action": "apply",
+        "delta": delta_to_dict(delta),
+    }
+
+
+def assert_lines_match_reference_through_deltas(
+    catalog, prod, ref, pairs, updates=3, seed=29, cluster=None
+):
+    """One server over *catalog*: query, then (DELTA, query) *updates*
+    times; every query stage must equal the reference lines."""
+    steps, expected = [query_requests(pairs)], [reference_lines(ref, pairs)]
+    for delta in updates_in_lockstep(prod, ref, updates, seed):
+        steps.append([delta_request(delta, f"delta-{delta.epoch}")])
+        expected.append(delta.epoch)
+        steps.append(query_requests(pairs))
+        expected.append(reference_lines(ref, pairs))
+    replies = serve_steps(catalog, steps, cluster=cluster)
+    for got, want in zip(replies, expected):
+        if isinstance(want, int):
+            reply = json.loads(got[0])
+            assert reply["ok"] and reply["applied"], reply
+            assert reply["epoch"] == want
+        else:
+            assert got == want
+            for line in got:
+                assert json.loads(line)["ok"] is True
+
+
+def test_flat_backend_is_available_here():
+    # The wall's no-skip guarantee: numpy and scipy are hard imports of
+    # the flat core, so a missing dependency fails at import time
+    # instead of silently degrading anything.
+    import numpy
+    import scipy.sparse.csgraph
+
+    assert flat_core._np is numpy
+    assert flat_core._csgraph_dijkstra is scipy.sparse.csgraph.dijkstra
+
+
+class TestConstructionByteIdentity:
+    @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
+    def test_json_and_binary_dumps_identical(self, make_graph, make_engine):
+        _, _, ref, prod = _build_pair(make_graph, make_engine)
+        assert dump_labeling(prod) == dump_labeling(ref)
+        for num_shards in (1, 4):
+            assert pack_labeling(prod, num_shards=num_shards) == pack_labeling(
+                ref, num_shards=num_shards
+            )
+
+    @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
+    def test_parallel_flat_build_identical(self, make_graph, make_engine):
+        graph, tree, ref, _ = _build_pair(make_graph, make_engine)
+        par = build_labeling(graph, tree, epsilon=EPSILON, parallel=2)
+        assert dump_labeling(par) == dump_labeling(ref)
+
+    @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
+    def test_estimates_bit_equal_on_all_pairs(self, make_graph, make_engine):
+        graph, _, ref, prod = _build_pair(make_graph, make_engine)
+        flats = {v: FlatLabel.from_label(lab) for v, lab in prod.labels.items()}
+        verts = sorted(graph.vertices(), key=repr)
+        for u in verts:
+            for v in verts:
+                a = estimate_distance(ref.labels[u], ref.labels[v])
+                b = flat_estimate(flats[u], flats[v])
+                # Bitwise: repr distinguishes every finite float, and
+                # inf == inf covers the unreachable case.
+                assert repr(a) == repr(b), (u, v, a, b)
+
+
 class TestServedByteIdentity:
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
     def test_dist_and_batch_lines_identical_json_codec(
         self, make_graph, make_engine
     ):
-        _, _, ref, _ = _build_pair(make_graph, make_engine)
-        remote = load_labeling(dump_labeling(ref))
-        pairs = synthesize_pairs(list(remote.vertices()), 16, seed=21)
-        requests = _query_requests(pairs)
-
-        async def main():
-            dict_lines = await _serve_lines(
-                ShardedLabelStore.from_remote(
-                    "wall", remote, num_shards=4, backend="dict"
-                ),
-                requests,
-            )
-            flat_lines = await _serve_lines(
-                ShardedLabelStore.from_remote(
-                    "wall", remote, num_shards=4, backend="flat"
-                ),
-                requests,
-            )
-            return dict_lines, flat_lines
-
-        dict_lines, flat_lines = asyncio.run(main())
-        assert flat_lines == dict_lines
-        # And the lines carry real payloads, not shared error chatter.
-        for line in dict_lines:
-            assert json.loads(line)["ok"] is True
+        graph, _, ref, prod = _build_pair(make_graph, make_engine)
+        store = ShardedLabelStore.from_remote(
+            "wall", load_labeling(dump_labeling(prod)), num_shards=4
+        )
+        pairs = wall_pairs(graph.vertices(), 16, seed=21)
+        [lines] = serve_steps(catalog_of(store), [query_requests(pairs)])
+        assert lines == reference_lines(ref, pairs)
 
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
     def test_dist_and_batch_lines_identical_binary_codec(
         self, make_graph, make_engine, tmp_path
     ):
-        _, _, ref, flat = _build_pair(make_graph, make_engine)
+        graph, _, ref, prod = _build_pair(make_graph, make_engine)
         path = tmp_path / "labels.bin"
-        dump_labeling(flat, path, codec="binary", num_shards=4)
-        remote = load_labeling(dump_labeling(ref))
-        pairs = synthesize_pairs(list(remote.vertices()), 16, seed=22)
-        requests = _query_requests(pairs)
+        dump_labeling(prod, path, codec="binary", num_shards=4)
+        store = ShardedLabelStore.load(path, name="wall")
+        pairs = wall_pairs(graph.vertices(), 16, seed=22)
+        try:
+            [lines] = serve_steps(catalog_of(store), [query_requests(pairs)])
+        finally:
+            store.close()
+        assert lines == reference_lines(ref, pairs)
 
-        async def main():
-            dict_lines = await _serve_lines(
-                ShardedLabelStore.load(path, name="wall", backend="dict"),
-                requests,
+    def test_cluster_view_lines_match_reference(self, tmp_path):
+        # One node of a two-node, unreplicated cluster: its view spans
+        # only the shard packs it owns, so queries stay on owned
+        # vertices and each DELTA applies only the node's slice.
+        graph, _, ref, prod = _build_pair(
+            lambda: grid_2d(6, weight_range=(1.0, 5.0), seed=8),
+            lambda: GreedyPeelingEngine(seed=3),
+        )
+        labels_path = tmp_path / "labels.json"
+        dump_labeling(prod, labels_path)
+        cluster_map = ClusterMap.build(
+            ["n0", "n1"], num_shards=8, replication=1, seed=0,
+            epsilon=EPSILON,
+        )
+        packs = split_labels(labels_path, tmp_path, cluster_map)
+        owned = frozenset(cluster_map.shards_of_node("n0"))
+        catalog = StoreCatalog()
+        for shard in sorted(owned):
+            catalog.add(ShardedLabelStore.load(
+                packs[shard], name=store_name_for_shard(shard)
+            ))
+        state = ClusterNodeState(node_id="n0", map=cluster_map, owned=owned)
+        mine = sorted(
+            (v for v in graph.vertices() if cluster_map.shard_of(v) in owned),
+            key=repr,
+        )
+        assert 2 <= len(mine) < graph.num_vertices
+        try:
+            assert_lines_match_reference_through_deltas(
+                catalog, prod, ref, wall_pairs(mine, 12, seed=24),
+                cluster=state,
             )
-            flat_lines = await _serve_lines(
-                ShardedLabelStore.load(path, name="wall", backend="flat"),
-                requests,
-            )
-            return dict_lines, flat_lines
-
-        dict_lines, flat_lines = asyncio.run(main())
-        assert flat_lines == dict_lines
-        for line in dict_lines:
-            assert json.loads(line)["ok"] is True
+        finally:
+            for store in catalog:
+                store.close()
 
 
 class TestDeltaByteIdentity:
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
+    @pytest.mark.parametrize("codec", ["json", "binary"])
     def test_delta_application_keeps_stores_identical(
-        self, make_graph, make_engine
+        self, make_graph, make_engine, codec, tmp_path
     ):
-        graph, tree, ref, _ = _build_pair(make_graph, make_engine)
-        # Two independent snapshots of the pristine labels, one per
-        # backend; incremental_relabel then mutates the *builder*
-        # labeling and emits deltas both stores must track.
-        remote_a = load_labeling(dump_labeling(ref))
-        remote_b = load_labeling(dump_labeling(ref))
-        dict_store = ShardedLabelStore.from_remote(
-            "wall", remote_a, num_shards=4, backend="dict"
-        )
-        flat_store = ShardedLabelStore.from_remote(
-            "wall", remote_b, num_shards=4, backend="flat"
-        )
-        pairs = synthesize_pairs(list(remote_a.vertices()), 20, seed=23)
-        rng = random.Random(29)
-        for _ in range(3):
-            delta = incremental_relabel(ref, random_reweight(rng, graph))
-            dict_store.apply_label_changes(delta.changes, delta.removals)
-            flat_store.apply_label_changes(delta.changes, delta.removals)
-            for u, v in pairs:
-                a = dict_store.estimate(u, v)
-                b = flat_store.estimate(u, v)
-                assert repr(a) == repr(b), (u, v, a, b)
-                # The moved labels also agree with the mutated builder
-                # labeling itself — the store tracked reality.
-                c = ref.estimate(u, v)
-                assert repr(a) == repr(c), (u, v, a, c)
+        graph, _, ref, prod = _build_pair(make_graph, make_engine)
+        path = tmp_path / f"labels.{codec}"
+        dump_labeling(prod, path, codec=codec, num_shards=4)
+        store = ShardedLabelStore.load(path, num_shards=4, name="wall")
+        pairs = wall_pairs(graph.vertices(), 10, seed=23)
+        try:
+            assert_lines_match_reference_through_deltas(
+                catalog_of(store), prod, ref, pairs
+            )
+        finally:
+            store.close()
 
     def test_mapped_store_overlay_deltas_identical(self, tmp_path):
-        graph = grid_2d(5, weight_range=(1.0, 5.0), seed=9)
-        tree = build_decomposition(graph)
-        ref = build_labeling(graph, tree, epsilon=0.25, backend="dict")
+        graph, _, ref, prod = _build_pair(
+            lambda: grid_2d(5, weight_range=(1.0, 5.0), seed=9),
+            lambda: GreedyPeelingEngine(seed=1),
+        )
         path = tmp_path / "labels.bin"
-        dump_labeling(ref, path, codec="binary", num_shards=4)
-        dict_store = ShardedLabelStore.load(path, name="wall", backend="dict")
-        flat_store = ShardedLabelStore.load(path, name="wall", backend="flat")
+        dump_labeling(prod, path, codec="binary", num_shards=4)
+        store = ShardedLabelStore.load(path, name="wall")
         pairs = synthesize_pairs(sorted(graph.vertices()), 20, seed=31)
-        rng = random.Random(41)
         try:
-            for _ in range(3):
-                delta = incremental_relabel(ref, random_reweight(rng, graph))
-                dict_store.apply_label_changes(delta.changes, delta.removals)
-                flat_store.apply_label_changes(delta.changes, delta.removals)
+            for delta in updates_in_lockstep(prod, ref, 3, seed=41):
+                store.apply_delta(delta)
                 for u, v in pairs:
-                    a = dict_store.estimate(u, v)
-                    b = flat_store.estimate(u, v)
+                    a = store.estimate(u, v)
+                    b = estimate_distance(ref.labels[u], ref.labels[v])
                     assert repr(a) == repr(b), (u, v, a, b)
+            # The overlay holds exactly the rewritten labels, and every
+            # label (overlay or mmap) reads back as the reference's.
+            for v, label in ref.labels.items():
+                assert store.label(v).entries == label.entries
+            assert store.total_words == sum(
+                label.words for label in ref.labels.values()
+            )
         finally:
-            dict_store.close()
-            flat_store.close()
+            store.close()

@@ -1,13 +1,14 @@
-"""Golden-fixture regression: both backends reproduce committed bytes.
+"""Golden-fixture regression: builds reproduce committed bytes.
 
 ``tests/data/golden_n64.labels.json`` and ``.bin`` were produced once
 by the recipe in :func:`golden_recipe` (Delaunay, n=64, seed=77,
-epsilon=0.25) with the dict backend and committed.  Every backend, on
-every future revision, must rebuild those files **byte-for-byte** —
-any drift in separator choice, portal selection, float arithmetic,
+epsilon=0.25) with the dict reference kernels and committed.  The
+reference build (``[dict]``: ``flat.SMALL_RESIDUAL`` raised above n, so
+every unit runs the dict kernel) and the production build (``[flat]``)
+must, on every future revision, rebuild those files **byte-for-byte**
+— any drift in separator choice, portal selection, float arithmetic,
 serialization order, or the ``/2`` record layout fails here first,
-with a diff against a known-good artifact instead of a flaky
-cross-backend comparison.
+with a diff against a known-good artifact.
 
 To regenerate after an *intentional* format change::
 
@@ -28,7 +29,10 @@ from repro.core import (
     dump_labeling,
     load_labeling,
 )
+from repro.core import flat as flat_core
 from repro.core.binfmt import BinaryLabelReader
+from repro.core.flat import flat_estimate
+from repro.core.labeling import estimate_distance
 from repro.generators import random_delaunay_graph
 from repro.serve import ShardedLabelStore
 
@@ -43,44 +47,61 @@ def golden_recipe():
     return graph, tree
 
 
-@pytest.mark.parametrize("backend", ["dict", "flat"])
+def use_reference_kernels(mp):
+    """Route every unit of later builds through the dict kernels."""
+    mp.setattr(flat_core, "SMALL_RESIDUAL", 1 << 62)
+
+
+@pytest.fixture(params=["dict", "flat"])
+def kernels(request, monkeypatch):
+    if request.param == "dict":
+        use_reference_kernels(monkeypatch)
+    return request.param
+
+
 class TestGoldenReproduction:
-    def test_json_codec_byte_for_byte(self, backend):
+    def test_json_codec_byte_for_byte(self, kernels):
         graph, tree = golden_recipe()
-        labeling = build_labeling(graph, tree, epsilon=0.25, backend=backend)
+        labeling = build_labeling(graph, tree, epsilon=0.25)
         assert dump_labeling(labeling) == GOLDEN_JSON.read_text()
 
-    def test_binary_codec_byte_for_byte(self, backend, tmp_path):
+    def test_binary_codec_byte_for_byte(self, kernels, tmp_path):
         graph, tree = golden_recipe()
-        labeling = build_labeling(graph, tree, epsilon=0.25, backend=backend)
+        labeling = build_labeling(graph, tree, epsilon=0.25)
         out = tmp_path / "labels.bin"
         dump_labeling(labeling, out, codec="binary", num_shards=4)
         assert out.read_bytes() == GOLDEN_BIN.read_bytes()
 
 
-@pytest.mark.parametrize("backend", ["dict", "flat"])
+@pytest.mark.parametrize("reference", ["dict", "flat"])
 class TestGoldenServing:
-    def test_stores_answer_from_committed_fixtures(self, backend):
-        # Both stores, loaded from the *committed* artifacts, agree
-        # with each other and with the offline JSON estimate on every
-        # pair of a deterministic sample.
+    def test_stores_answer_from_committed_fixtures(self, reference):
+        # Both stores, loaded from the *committed* artifacts, agree on
+        # every pair of a deterministic sample with an offline combine
+        # of the same labels: the dict kernel over the JSON fixture's
+        # VertexLabels, or the flat kernel over the /2 fixture's
+        # records decoded straight off the file.
         remote = load_labeling(GOLDEN_JSON.read_text())
-        json_store = ShardedLabelStore.load(
-            GOLDEN_JSON, name="golden-json", backend=backend
-        )
-        bin_store = ShardedLabelStore.load(
-            GOLDEN_BIN, name="golden-bin", backend=backend
-        )
+        reader = BinaryLabelReader(GOLDEN_BIN)
+        if reference == "dict":
+            def want_of(u, v):
+                return estimate_distance(remote.label(u), remote.label(v))
+        else:
+            def want_of(u, v):
+                return flat_estimate(reader.get_flat(u), reader.get_flat(v))
+        json_store = ShardedLabelStore.load(GOLDEN_JSON, name="golden-json")
+        bin_store = ShardedLabelStore.load(GOLDEN_BIN, name="golden-bin")
         verts = sorted(remote.vertices(), key=repr)
         try:
             for i, u in enumerate(verts[::5]):
                 for v in verts[i :: 7]:
-                    want = remote.estimate(u, v)
+                    want = want_of(u, v)
                     assert repr(json_store.estimate(u, v)) == repr(want)
                     assert repr(bin_store.estimate(u, v)) == repr(want)
                     assert math.isfinite(want) or want == math.inf
         finally:
             bin_store.close()
+            reader.close()
 
 
 class TestGoldenBinaryRecords:
@@ -103,7 +124,9 @@ class TestGoldenBinaryRecords:
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     graph, tree = golden_recipe()
-    labeling = build_labeling(graph, tree, epsilon=0.25, backend="dict")
+    with pytest.MonkeyPatch.context() as mp:
+        use_reference_kernels(mp)
+        labeling = build_labeling(graph, tree, epsilon=0.25)
     GOLDEN_JSON.write_text(dump_labeling(labeling))
     dump_labeling(labeling, GOLDEN_BIN, codec="binary", num_shards=4)
     print(f"rewrote {GOLDEN_JSON} and {GOLDEN_BIN}")

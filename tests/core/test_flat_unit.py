@@ -2,10 +2,9 @@
 
 Covers what the differential wall cannot: the canonical-vertex rule on
 ``CSRGraph`` (the PR 7 shard-key regression, now at the index layer),
-backend resolution with and without numpy/scipy, path-key encoding
-bounds, the small-residual dispatch, the construction kernel's source
-validation, and the big-endian decode fallback in ``binfmt`` — all
-without a skip in sight.
+path-key encoding bounds, the small-residual dispatch, the construction
+kernel's source validation, and the big-endian decode fallback in
+``binfmt`` — all without a skip in sight.
 """
 
 import math
@@ -14,16 +13,12 @@ import random
 import pytest
 
 from repro.core import (
-    BACKENDS,
     CSRGraph,
-    FlatBackendUnavailable,
     FlatLabel,
     build_decomposition,
     build_labeling,
     dump_labeling,
-    flat_available,
     flat_estimate,
-    resolve_backend,
 )
 from repro.core import flat as flat_mod
 from repro.core.binfmt import BinaryLabelReader, write_labeling_binary
@@ -104,50 +99,17 @@ class TestCanonicalVertexRegression:
         with pytest.raises(GraphError, match="canonicalize"):
             CSRGraph.from_graph(g)
 
-    def test_flat_labeling_matches_dict_on_float_keyed_graph(self):
+    def test_flat_labeling_matches_dict_on_float_keyed_graph(
+        self, monkeypatch
+    ):
         g = Graph([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0), (2.0, 3.0, 1.0)])
         tree = build_decomposition(g)
-        ref = build_labeling(g, tree, epsilon=0.5, backend="dict")
-        flat = build_labeling(g, tree, epsilon=0.5, backend="flat")
+        # Threshold 0 forces even this 4-vertex graph onto the CSR path.
+        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 0)
+        flat = build_labeling(g, tree, epsilon=0.5)
+        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 1 << 62)
+        ref = build_labeling(g, tree, epsilon=0.5)
         assert dump_labeling(flat) == dump_labeling(ref)
-
-
-class TestBackendResolution:
-    def test_explicit_backends_resolve_to_themselves(self):
-        assert resolve_backend("dict") == "dict"
-        assert flat_available()  # the test image ships numpy/scipy
-        assert resolve_backend("flat") == "flat"
-
-    def test_auto_and_none_prefer_flat_when_available(self):
-        assert resolve_backend(None) == "flat"
-        assert resolve_backend("auto") == "flat"
-
-    def test_unknown_backend_is_a_valueerror(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("simd")
-        assert set(BACKENDS) == {"auto", "dict", "flat"}
-
-    def test_missing_numpy_degrades_auto_and_refuses_flat(self, monkeypatch):
-        monkeypatch.setattr(flat_mod, "_np", None)
-        monkeypatch.setattr(
-            flat_mod, "_IMPORT_ERROR", ImportError("no module named numpy")
-        )
-        assert not flat_available()
-        assert resolve_backend(None) == "dict"
-        assert resolve_backend("auto") == "dict"
-        with pytest.raises(FlatBackendUnavailable, match="numpy"):
-            resolve_backend("flat")
-        with pytest.raises(FlatBackendUnavailable):
-            CSRGraph.from_graph(Graph([(0, 1, 1.0)]))
-
-    def test_build_labeling_honors_degraded_auto(self, monkeypatch):
-        monkeypatch.setattr(flat_mod, "_np", None)
-        g = Graph([(0, 1, 1.0), (1, 2, 2.0)])
-        tree = build_decomposition(g)
-        labeling = build_labeling(g, tree, epsilon=0.5)  # auto -> dict
-        assert labeling.estimate(0, 2) == 3.0
-        with pytest.raises(FlatBackendUnavailable):
-            build_labeling(g, tree, epsilon=0.5, backend="flat")
 
 
 class TestPathKeyEncoding:
@@ -171,7 +133,7 @@ class TestFlatLabelShape:
     def test_words_and_portals_match_reference(self):
         g = random_delaunay_graph(48, seed=5)[0]
         tree = build_decomposition(g)
-        labeling = build_labeling(g, tree, epsilon=0.25, backend="dict")
+        labeling = build_labeling(g, tree, epsilon=0.25)
         for lab in labeling.labels.values():
             fl = FlatLabel.from_label(lab)
             assert fl.words == lab.words
@@ -257,7 +219,7 @@ class TestBigEndianFallback:
         # the same floats the array('d') bulk path does.
         g = random_delaunay_graph(40, seed=9)[0]
         tree = build_decomposition(g)
-        labeling = build_labeling(g, tree, epsilon=0.25, backend="flat")
+        labeling = build_labeling(g, tree, epsilon=0.25)
         path = tmp_path / "labels.bin"
         write_labeling_binary(labeling, path, num_shards=4)
 
@@ -313,16 +275,33 @@ class TestDynamicFlatHelpers:
             for v, d in ref_map.items():
                 assert repr(flat_map[v]) == repr(d)
 
-    def test_distance_maps_omit_unreachable(self):
+    def test_distance_maps_omit_unreachable(self, monkeypatch):
         # Restrict the residual to one grid corner: vertices outside it
-        # must be absent from the maps, not stored as inf.
+        # must be absent from the maps, not stored as inf.  Threshold 0
+        # keeps this 4-vertex residual on the CSR kernel.
         g, tree, ctx = self._case()
         residual = frozenset(
             (i, j) for i in range(2) for j in range(2)
         )
+        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 0)
         flat = flat_distance_maps(ctx, [(0, 0)], residual)
         ref = batched_dijkstra(g, [(0, 0)], allowed=residual)
         assert set(flat[(0, 0)]) == set(ref[(0, 0)]) == residual
+
+    def test_small_allowed_set_delegates_to_batched_dijkstra(
+        self, monkeypatch
+    ):
+        g, tree, ctx = self._case()
+        residual = frozenset((i, j) for i in range(3) for j in range(3))
+        assert len(residual) < SMALL_RESIDUAL
+        calls = []
+        monkeypatch.setattr(
+            flat_mod, "_induced_distances",
+            lambda *args: calls.append(args),
+        )
+        maps = flat_distance_maps(ctx, [(0, 0), (2, 2)], residual)
+        assert calls == []  # the CSR kernel never ran
+        assert maps == batched_dijkstra(g, [(0, 0), (2, 2)], allowed=residual)
 
     def test_phase_distance_maps_match_reference(self):
         g, tree, ctx = self._case()
@@ -352,14 +331,13 @@ class TestDynamicFlatHelpers:
 
     def test_incremental_relabel_flat_matches_dict_path(self, monkeypatch):
         # Two independent, bit-identical labelings; one takes the flat
-        # cold-unit path, the other is pinned to the pure-Python
-        # reference.  Every delta and the final labeling must agree.
-        import repro.dynamic.rebuild as rebuild_mod
-
+        # cold-unit path, the other is routed through the pure-Python
+        # reference kernels.  Every delta and the final labeling must
+        # agree.
         def build():
             g = grid_2d(7, weight_range=(1.0, 5.0), seed=11)
             tree = build_decomposition(g)
-            return build_labeling(g, tree, epsilon=0.25, backend="dict")
+            return build_labeling(g, tree, epsilon=0.25)
 
         flat_side, dict_side = build(), build()
         assert dump_labeling(flat_side) == dump_labeling(dict_side)
@@ -373,7 +351,7 @@ class TestDynamicFlatHelpers:
             for upd in updates
         ]
         assert flat_side._flat_ctx is not None  # flat path actually ran
-        monkeypatch.setattr(rebuild_mod, "_flat_context", lambda lab: None)
+        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 1 << 62)
         deltas_dict = [
             delta_to_dict(incremental_relabel(dict_side, upd))
             for upd in updates

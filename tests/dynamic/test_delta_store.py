@@ -1,14 +1,16 @@
 """Applying label deltas to serving stores: epoch gating, accounting,
 overlay behavior of the mmap-backed store."""
 
+import copy
 import random
 
 import pytest
 
+from repro.core.labeling import estimate_distance
 from repro.core.serialize import RemoteLabels, dump_labeling
-from repro.dynamic import incremental_relabel
-from repro.dynamic.rebuild import DeltaError
-from repro.serve.store import MappedLabelStore, ShardedLabelStore
+from repro.dynamic import EdgeUpdate, apply_delta_to_labels, incremental_relabel
+from repro.dynamic.rebuild import DeltaError, LabelDelta
+from repro.serve.store import ShardedLabelStore
 
 from tests.dynamic.conftest import EPSILON, fresh_case
 from tests.dynamic.test_rebuild import random_reweight
@@ -80,7 +82,7 @@ class TestMappedStoreDelta:
     def make_store(self, remote, tmp_path):
         path = tmp_path / "g.bin"
         dump_labeling(remote, path, codec="binary", num_shards=4)
-        return MappedLabelStore(path)
+        return ShardedLabelStore.mapped(path)
 
     def test_overlay_wins_over_the_mmap(self, tmp_path):
         remote, updated, deltas = updated_world()
@@ -117,7 +119,7 @@ class TestMappedStoreDelta:
 
     def test_lru_cache_never_serves_stale_labels(self, tmp_path):
         remote, updated, deltas = updated_world(updates=1)
-        store = MappedLabelStore(
+        store = ShardedLabelStore.mapped(
             (tmp_path / "c.bin", dump_labeling(
                 remote, tmp_path / "c.bin", codec="binary", num_shards=4
             ))[0],
@@ -130,3 +132,94 @@ class TestMappedStoreDelta:
         for v, label in updated.labels.items():
             assert store.label(v).entries == label.entries
         store.close()
+
+
+class TestDeltaApplyPath:
+    """The one delta path both codecs share: grouped per vertex,
+    all-or-nothing on unknown vertices, and never touching a label
+    object a LABEL reply may already hold."""
+
+    @pytest.fixture(params=["json", "binary"])
+    def store(self, request, tmp_path):
+        remote, _, _ = updated_world(updates=1)
+        path = tmp_path / f"g.{request.param}"
+        dump_labeling(remote, path, codec=request.param, num_shards=4)
+        store = ShardedLabelStore.load(path, num_shards=4)
+        yield store
+        store.close()
+
+    def test_memoized_label_objects_are_never_mutated(self, store):
+        _, updated, deltas = updated_world(updates=1)
+        touched = {vx for vx, _key, _portals in deltas[0].changes}
+        before = {v: store.label(v) for v in touched}
+        snapshot = {
+            v: {k: list(p) for k, p in label.entries.items()}
+            for v, label in before.items()
+        }
+        store.apply_delta(deltas[0])
+        for v, label in before.items():
+            assert label.entries == snapshot[v]
+            assert store.label(v).entries == updated.labels[v].entries
+
+    def test_each_touched_label_is_rebuilt_once(self, store, monkeypatch):
+        from repro.core.flat import FlatLabel
+
+        _, _, deltas = updated_world(updates=1)
+        delta = deltas[0]
+        touched = {vx for vx, _key, _portals in delta.changes}
+        touched.update(vx for vx, _key in delta.removals)
+        assert len(delta.changes) + len(delta.removals) > len(touched)
+        built = []
+        original = FlatLabel.from_entries.__func__
+
+        def counting(cls, vertex, entries):
+            built.append(vertex)
+            return original(cls, vertex, entries)
+
+        monkeypatch.setattr(FlatLabel, "from_entries", classmethod(counting))
+        store.apply_delta(delta)
+        assert sorted(built, key=repr) == sorted(touched, key=repr)
+
+    def test_unknown_vertex_leaves_the_store_untouched(self, store):
+        pristine, _, deltas = updated_world(updates=1)
+        delta = deltas[0]
+        delta.changes.append(("ghost", (0, 0, 0), [(0.0, 1.0)]))
+        words = store.total_words
+        with pytest.raises(DeltaError, match="ghost"):
+            store.apply_delta(delta)
+        assert store.total_words == words
+        assert store.label_epoch == 0
+        for vx, _key, _portals in delta.changes[:-1]:
+            assert store.label(vx).entries == pristine.labels[vx].entries
+
+    def test_removals_and_new_keys_match_the_reference_applier(self, store):
+        # Reweights never remove entries (reachability inside a
+        # residual does not depend on weights), so hand-build a delta
+        # that does: per vertex, drop its first key, rewrite its last
+        # one, and insert a key it never held.  The reference is
+        # apply_delta_to_labels on plain dict labels; key order counts,
+        # since LABEL replies serialize it.
+        pristine, _, _ = updated_world(updates=1)
+        reference = copy.deepcopy(pristine.labels)
+        all_keys = sorted({k for lab in reference.values() for k in lab.entries})
+        delta = LabelDelta(EdgeUpdate(0, 1, 1.0), 1.0, EPSILON, epoch=1)
+        for v in sorted(reference, key=repr)[::5]:
+            keys = list(reference[v].entries)
+            foreign = next(k for k in all_keys if k not in reference[v].entries)
+            delta.removals.append((v, keys[0]))
+            delta.changes.append((v, keys[-1], [(0.0, 7.5)]))
+            delta.changes.append((v, foreign, [(1.0, 2.0), (3.0, 0.5)]))
+        assert store.apply_delta(delta) == {
+            "epoch": 1,
+            "changes": len(delta.changes),
+            "removals": len(delta.removals),
+        }
+        apply_delta_to_labels(reference, delta)
+        for v, label in reference.items():
+            got = store.label(v).entries
+            assert list(got.items()) == list(label.entries.items())
+        assert store.total_words == sum(lab.words for lab in reference.values())
+        verts = sorted(reference, key=repr)
+        for u, v in zip(verts, reversed(verts)):
+            want = estimate_distance(reference[u], reference[v])
+            assert repr(store.estimate(u, v)) == repr(want)

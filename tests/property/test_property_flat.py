@@ -6,21 +6,25 @@ triangulations, ``G(n, p)``, preferential attachment):
 * **CSR round trip** — ``CSRGraph.from_graph`` then ``to_graph`` is
   the identity on the adjacency structure *and* on every edge weight,
   and per-vertex ``neighbors`` agrees with the source graph.
-* **Kernel equivalence** — ``flat_estimate`` over ``FlatLabel`` pairs
-  is bit-equal to the dict-path ``estimate_distance`` on every queried
-  pair, including unreachable (infinite) answers and labels with no
-  entries at all.
+* **Kernel equivalence** — ``flat_estimate`` over the production
+  build's ``FlatLabel`` objects is bit-equal to the reference
+  ``estimate_distance`` over the all-dict reference build
+  (``flat.SMALL_RESIDUAL`` raised above n) on every queried pair,
+  including unreachable (infinite) answers and labels with no entries
+  at all.
 
-Like the differential wall, this suite never skips: the flat backend
-is mandatory in the test environment.
+Like the differential wall, this suite never skips: numpy and scipy
+are required.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSRGraph, FlatLabel, build_decomposition, build_labeling, flat_estimate
+from repro.core import flat as flat_core
 from repro.core.labeling import VertexLabel, estimate_distance
 from repro.generators import (
     gnp_random_graph,
@@ -104,6 +108,13 @@ class TestCSRRoundTrip:
         assert len(seen) == csr.num_vertices
 
 
+def reference_labeling(graph, tree, epsilon):
+    """The all-dict reference build of *graph* over *tree*."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flat_core, "SMALL_RESIDUAL", 1 << 62)
+        return build_labeling(graph, tree, epsilon=epsilon)
+
+
 class TestKernelEquivalence:
     @SLOW
     @given(
@@ -115,9 +126,8 @@ class TestKernelEquivalence:
         self, graph, epsilon, pair_seed
     ):
         tree = build_decomposition(graph)
-        labeling = build_labeling(
-            graph, tree, epsilon=epsilon, backend="dict"
-        )
+        reference = reference_labeling(graph, tree, epsilon)
+        labeling = build_labeling(graph, tree, epsilon=epsilon)
         flats = {
             v: FlatLabel.from_label(lab)
             for v, lab in labeling.labels.items()
@@ -127,7 +137,7 @@ class TestKernelEquivalence:
         for _ in range(40):
             u = verts[rng.randrange(len(verts))]
             v = verts[rng.randrange(len(verts))]
-            a = estimate_distance(labeling.labels[u], labeling.labels[v])
+            a = estimate_distance(reference.labels[u], reference.labels[v])
             b = flat_estimate(flats[u], flats[v])
             assert repr(a) == repr(b), (u, v, a, b)
 
@@ -135,7 +145,7 @@ class TestKernelEquivalence:
     @given(graph=graph_strategy)
     def test_unreachable_and_empty_labels_agree(self, graph):
         tree = build_decomposition(graph)
-        labeling = build_labeling(graph, tree, epsilon=0.5, backend="dict")
+        labeling = reference_labeling(graph, tree, 0.5)
         # A label with no entries shares no path key with anyone: both
         # kernels must answer inf against every real vertex, and the
         # flat round trip must preserve the emptiness.
@@ -156,7 +166,7 @@ class TestKernelEquivalence:
     @given(graph=graph_strategy, seed=st.integers(0, 10**6))
     def test_flat_label_round_trip_is_identity(self, graph, seed):
         tree = build_decomposition(graph)
-        labeling = build_labeling(graph, tree, epsilon=0.25, backend="dict")
+        labeling = reference_labeling(graph, tree, 0.25)
         for lab in labeling.labels.values():
             back = FlatLabel.from_label(lab).to_label()
             assert back.vertex == lab.vertex

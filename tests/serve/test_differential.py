@@ -140,9 +140,10 @@ class TestDifferentialUnderFaults:
 
         Offline: ``load_labeling`` of the JSON text and of the packed
         binary blob must estimate identically (as strict-JSON text) on
-        every pair.  Served: a :class:`MappedLabelStore` mmap'ing the
-        binary file, behind the active fault plan and the resilient
-        client, must answer byte-identically to the offline JSON path.
+        every pair.  Served: a mapped :class:`ShardedLabelStore`
+        mmap'ing the binary file, behind the active fault plan and the
+        resilient client, must answer byte-identically to the offline
+        JSON path.
         """
         graph = make_graph()
         tree = build_decomposition(graph, engine=make_engine())

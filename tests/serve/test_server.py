@@ -6,9 +6,18 @@ helper from conftest.
 """
 
 import asyncio
+import itertools
 import json
 
-from repro.serve import MAX_LINE_BYTES, OracleServer
+from repro.core import build_decomposition, build_labeling
+from repro.core.serialize import dump_labeling, load_labeling
+from repro.generators import random_delaunay_graph
+from repro.serve import (
+    MAX_LINE_BYTES,
+    OracleServer,
+    ShardedLabelStore,
+    StoreCatalog,
+)
 from repro.serve.server import DEFAULT_MAX_BATCH
 
 from tests.serve.conftest import rpc
@@ -199,9 +208,38 @@ class TestCache:
         (first, second, third), counters = run(main())
         assert first == second  # cached answer is byte-equal to uncached
         assert json.loads(third)["estimate"] == json.loads(first)["estimate"]
-        # miss, hit, hit (the canonicalized key covers (v, u) too)
-        assert counters["cache_misses"] == 1
-        assert counters["cache_hits"] == 2
+        # miss, hit, miss: (v, u) is its own entry, since the float
+        # combine is not bit-symmetric (see the test below)
+        assert counters["cache_misses"] == 2
+        assert counters["cache_hits"] == 1
+
+    def test_reversed_pair_never_served_from_the_other_order(self):
+        # Regression: the cache once keyed (u, v) and (v, u) alike, so
+        # a pair whose two orders differ in the last bit was answered
+        # with the other order's bytes.  Delaunay n=32 has such a pair.
+        graph = random_delaunay_graph(32, seed=0)[0]
+        labeling = build_labeling(graph, build_decomposition(graph))
+        remote = load_labeling(dump_labeling(labeling))
+        verts = sorted(remote.vertices(), key=repr)
+        u, v = next(
+            (a, b) for a, b in itertools.combinations(verts, 2)
+            if remote.estimate(a, b) != remote.estimate(b, a)
+        )
+        catalog = StoreCatalog()
+        catalog.add(ShardedLabelStore.from_remote("d", remote))
+
+        async def main():
+            server = await _started(catalog, cache_size=16)
+            lines = await rpc(server.port, [
+                {"id": 1, "op": "DIST", "u": wire(v), "v": wire(u)},
+                {"id": 2, "op": "DIST", "u": wire(u), "v": wire(v)},
+            ])
+            await server.shutdown()
+            return [json.loads(line)["estimate"] for line in lines]
+
+        vu, uv = run(main())
+        assert repr(vu) == repr(remote.estimate(v, u))
+        assert repr(uv) == repr(remote.estimate(u, v))
 
     def test_cache_evicts_at_capacity(self, catalog, remote_labels):
         async def main():

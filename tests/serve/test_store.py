@@ -5,7 +5,6 @@ import pytest
 from repro.core.labeling import VertexLabel
 from repro.core.serialize import RemoteLabels, dump_labeling
 from repro.serve.store import (
-    MappedLabelStore,
     ShardedLabelStore,
     StoreCatalog,
     shard_key,
@@ -20,10 +19,12 @@ def store(remote_labels) -> ShardedLabelStore:
 
 class TestShardedLabelStore:
     def test_every_label_lands_in_its_shard(self, store, remote_labels):
+        per_shard = [0] * store.num_shards
         for v in remote_labels.vertices():
             assert v in store
             assert store.label(v).vertex == v
-            assert v in store.shards[store.shard_index(v)].labels
+            per_shard[store.shard_index(v)] += 1
+        assert per_shard == [s.num_labels for s in store.shards]
 
     def test_shard_counts_sum_to_total(self, store, remote_labels):
         assert store.num_labels == remote_labels.num_labels
@@ -141,7 +142,7 @@ def binary_path(remote_labels, tmp_path):
 class TestMappedLabelStore:
     def test_load_sniffs_binary_and_returns_mapped(self, binary_path):
         store = ShardedLabelStore.load(binary_path)
-        assert isinstance(store, MappedLabelStore)
+        assert store.reader is not None
         assert store.codec == "binary"
         assert store.name == "grid"
         assert store.mapped_bytes == binary_path.stat().st_size
@@ -150,12 +151,12 @@ class TestMappedLabelStore:
         path = tmp_path / "grid.json"
         dump_labeling(remote_labels, path)
         store = ShardedLabelStore.load(path)
-        assert isinstance(store, ShardedLabelStore)
+        assert store.reader is None
         assert store.codec == "json" and store.mapped_bytes == 0
 
     def test_lookups_match_eager_store(self, remote_labels, binary_path):
         eager = ShardedLabelStore.from_remote("e", remote_labels, num_shards=4)
-        mapped = MappedLabelStore(binary_path)
+        mapped = ShardedLabelStore.mapped(binary_path)
         vertices = sorted(remote_labels.vertices())
         for v in vertices:
             assert v in mapped
@@ -165,14 +166,14 @@ class TestMappedLabelStore:
             assert mapped.estimate(u, v) == eager.estimate(u, v)
 
     def test_unknown_vertex(self, binary_path):
-        mapped = MappedLabelStore(binary_path)
+        mapped = ShardedLabelStore.mapped(binary_path)
         with pytest.raises(GraphError, match="no label in store"):
             mapped.label((99, 99))
         assert (99, 99) not in mapped
 
     def test_accounting_matches_eager_store(self, remote_labels, binary_path):
         eager = ShardedLabelStore.from_remote("e", remote_labels, num_shards=4)
-        mapped = MappedLabelStore(binary_path)
+        mapped = ShardedLabelStore.mapped(binary_path)
         assert mapped.num_labels == eager.num_labels
         assert mapped.total_words == eager.total_words
         assert mapped.num_shards == eager.num_shards == 4
@@ -184,7 +185,7 @@ class TestMappedLabelStore:
         ]
 
     def test_stats_shape(self, binary_path, remote_labels):
-        stats = MappedLabelStore(binary_path).stats()
+        stats = ShardedLabelStore.mapped(binary_path).stats()
         assert stats["codec"] == "binary"
         assert stats["mapped_bytes"] == binary_path.stat().st_size
         assert stats["cached_labels"] == 0
@@ -192,11 +193,11 @@ class TestMappedLabelStore:
         assert sum(s["labels"] for s in stats["shards"]) == stats["labels"]
 
     def test_vertices_iterates_source_order(self, remote_labels, binary_path):
-        mapped = MappedLabelStore(binary_path)
+        mapped = ShardedLabelStore.mapped(binary_path)
         assert list(mapped.vertices()) == list(remote_labels.labels)
 
     def test_label_cache_is_bounded_lru(self, binary_path, remote_labels):
-        mapped = MappedLabelStore(binary_path, label_cache=2)
+        mapped = ShardedLabelStore.mapped(binary_path, label_cache=2)
         vertices = sorted(remote_labels.vertices())[:5]
         for v in vertices:
             mapped.label(v)
@@ -206,14 +207,14 @@ class TestMappedLabelStore:
         assert mapped.label(vertices[-1]) is hot
 
     def test_zero_cache_decodes_every_time(self, binary_path, remote_labels):
-        mapped = MappedLabelStore(binary_path, label_cache=0)
+        mapped = ShardedLabelStore.mapped(binary_path, label_cache=0)
         v = next(iter(remote_labels.vertices()))
         a, b = mapped.label(v), mapped.label(v)
         assert a == b and a is not b
         assert mapped.cached_labels == 0
 
     def test_close_releases_the_map(self, binary_path):
-        mapped = MappedLabelStore(binary_path)
+        mapped = ShardedLabelStore.mapped(binary_path)
         mapped.label(next(iter(mapped.vertices())))
         mapped.close()
         assert mapped.cached_labels == 0
@@ -263,7 +264,7 @@ class TestMappedLabelCache:
     def test_cached_labels_tracks_occupancy_up_to_capacity(
         self, remote_labels, binary_path
     ):
-        mapped = MappedLabelStore(binary_path, label_cache=4)
+        mapped = ShardedLabelStore.mapped(binary_path, label_cache=4)
         ordered = sorted(remote_labels.vertices(), key=repr)
         assert mapped.cached_labels == 0
         mapped.label(ordered[0])
@@ -274,7 +275,7 @@ class TestMappedLabelCache:
         assert mapped.stats()["cached_labels"] == 4
 
     def test_eviction_is_lru_not_fifo(self, remote_labels, binary_path):
-        mapped = MappedLabelStore(binary_path, label_cache=3)
+        mapped = ShardedLabelStore.mapped(binary_path, label_cache=3)
         a, b, c, d = sorted(remote_labels.vertices(), key=repr)[:4]
         first_a = mapped.label(a)
         first_b = mapped.label(b)
@@ -288,11 +289,11 @@ class TestMappedLabelCache:
         assert mapped.cached_labels == 3
 
     def test_hits_return_the_cached_object(self, remote_labels, binary_path):
-        mapped = MappedLabelStore(binary_path, label_cache=8)
+        mapped = ShardedLabelStore.mapped(binary_path, label_cache=8)
         v = next(iter(remote_labels.vertices()))
         assert mapped.label(v) is mapped.label(v)
         # A zero-capacity cache decodes every time and stays empty.
-        off = MappedLabelStore(binary_path, label_cache=0)
+        off = ShardedLabelStore.mapped(binary_path, label_cache=0)
         assert off.label(v) is not off.label(v)
         assert off.cached_labels == 0
 
@@ -302,7 +303,7 @@ class TestMappedLabelCache:
         # A cache of 2 with two-vertex queries evicts constantly; the
         # estimates must match the offline labeling byte-for-byte
         # anyway, before and after any given eviction.
-        churn = MappedLabelStore(binary_path, label_cache=2)
+        churn = ShardedLabelStore.mapped(binary_path, label_cache=2)
         ordered = sorted(remote_labels.vertices(), key=repr)
         pairs = [(u, v) for u in ordered[:6] for v in ordered[6:12]]
         for u, v in pairs + list(reversed(pairs)):

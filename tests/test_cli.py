@@ -392,11 +392,11 @@ class TestServeAndLoadgen:
         assert main(["labels", str(graph_file), "--out", str(labels_json)]) == 0
         assert main(["pack", str(labels_json), str(labels_bin)]) == 0
 
-        from repro.serve import MappedLabelStore, OracleServer, ShardedLabelStore, StoreCatalog
+        from repro.serve import OracleServer, ShardedLabelStore, StoreCatalog
 
         catalog = StoreCatalog()
         store = catalog.add(ShardedLabelStore.load(labels_bin))
-        assert isinstance(store, MappedLabelStore)
+        assert store.codec == "binary"
         server = OracleServer(catalog, port=0, cache_size=64)
         started = threading.Event()
         loop_holder = {}
