@@ -10,7 +10,11 @@ verify on an E13-size labeling (delaunay n = 512):
 * first queries straight off the cold map answer byte-identically to
   the eager store (lazy decode changes latency, never bytes);
 * footprint: bytes on disk per codec, mapped bytes, and the resident
-  delta of parse-everything vs map-and-touch.
+  delta of parse-everything vs map-and-touch;
+* what one cold label costs: the mean ``get_flat`` time per label off a
+  freshly opened reader, and the ``estimate`` time per pair on a
+  freshly opened mapped store, where every pair's two labels are
+  decoded and combined for the first time (recorded, not gated).
 
 Persists the standing record to ``BENCH_labels_io.json`` at the repo
 root (a ``repro-bench/1`` payload, like ``BENCH_serve.json``) next to
@@ -23,6 +27,7 @@ import time
 from pathlib import Path
 
 from repro.core import build_decomposition, build_labeling
+from repro.core.binfmt import BinaryLabelReader
 from repro.core.serialize import dump_labeling, load_labeling
 from repro.generators import random_delaunay_graph
 from repro.obs.export import write_bench_json
@@ -55,6 +60,33 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return best
 
 
+def _cold_get_flat_us(bin_path: Path, vertices) -> float:
+    """Best-of mean ``get_flat`` time per label, each label decoded
+    once off a freshly opened reader."""
+
+    def decode_all():
+        with BinaryLabelReader(bin_path) as reader:
+            for v in vertices:
+                reader.get_flat(v)
+
+    return 1e6 * _best_of(decode_all) / len(vertices)
+
+
+def _first_touch_estimate_us(bin_path: Path, pairs) -> float:
+    """Best-of ``estimate`` time per pair on a freshly opened mapped
+    store; *pairs* share no vertex, so every label is touched first
+    here.  The open itself is outside the clock."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        store = ShardedLabelStore.mapped(bin_path)
+        start = time.perf_counter()
+        for u, v in pairs:
+            store.estimate(u, v)
+        best = min(best, time.perf_counter() - start)
+        store.close()
+    return 1e6 * best / len(pairs)
+
+
 def run_experiment(tmp_dir: Path):
     remote = build_remote()
     json_path = tmp_dir / "labels.json"
@@ -80,6 +112,10 @@ def run_experiment(tmp_dir: Path):
         assert mapped.estimate(u, v) == eager.estimate(u, v)
     first_queries_s = time.perf_counter() - first_query_start
     rss_after_map = process_rss_bytes()
+    cold_get_flat_us = _cold_get_flat_us(bin_path, vertices)
+    # Every vertex once: half the vertices paired with the other half.
+    cold_pairs = list(zip(vertices, reversed(vertices)))[: len(vertices) // 2]
+    first_touch_us = _first_touch_estimate_us(bin_path, cold_pairs)
 
     speedup = json_start / bin_start if bin_start > 0 else float("inf")
     rows = [
@@ -104,6 +140,12 @@ def run_experiment(tmp_dir: Path):
         "first_queries": {
             "count": len(sample),
             "seconds": round(first_queries_s, 6),
+        },
+        "cold_label": {
+            "get_flat_us_per_label": round(cold_get_flat_us, 2),
+            "labels": len(vertices),
+            "first_touch_estimate_us_per_pair": round(first_touch_us, 2),
+            "pairs": len(cold_pairs),
         },
         "rss_bytes": {
             "before": rss_before,

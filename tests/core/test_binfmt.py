@@ -34,6 +34,7 @@ from repro.core.serialize import (
     load_labeling,
 )
 from repro.generators import grid_2d, random_tree
+from repro.serve.store import ShardedLabelStore
 
 from tests.conftest import pair_sample
 
@@ -342,6 +343,30 @@ class TestReaderValidation:
         reader = BinaryLabelReader(path)
         reader.close()
         reader.close()  # no raise
+
+    def test_lookups_after_close_name_the_closed_file(self, remote, tmp_path):
+        # Closing swaps the mapped buffer for an empty one; a lookup
+        # must then say so, not fail with a raw struct.error.
+        path = tmp_path / "l.bin"
+        write_labeling_binary(remote, path)
+        store = ShardedLabelStore.mapped(path)
+        u, v = sorted(remote.vertices())[:2]
+        assert store.estimate(u, v) == remote.estimate(u, v)
+        store.close()
+        for lookup in (
+            lambda: store.estimate(u, v),
+            lambda: u in store,
+            lambda: store.reader.get_flat(u),
+            lambda: store.reader.decode_record(0),
+            lambda: store.reader.shard_words(0),
+        ):
+            with pytest.raises(SerializationError, match="is closed") as info:
+                lookup()
+            assert str(path) in str(info.value)
+        in_memory = BinaryLabelReader(pack_labeling(remote))
+        in_memory.close()
+        with pytest.raises(SerializationError, match="in-memory is closed"):
+            in_memory.get(u)
 
     def test_header_size_is_stable(self):
         # The documented layout: 80 bytes, and every writer/reader in
