@@ -10,7 +10,10 @@ units is far cheaper than rebuilding every label — while producing the
   same fixed tree — the speedup must widen with n and clear 5x at the
   largest size;
 * update throughput (updates/s) and the touched-entry counts that
-  explain it.
+  explain it;
+* at n = 2048, the same updates again with the per-labeling unit
+  distance cache switched off (``nocache_ms``: every affected unit
+  recomputes cold), which is what the cache is worth.
 
 Persists the standing record to ``BENCH_dynamic.json`` at the repo
 root (a ``repro-bench/1`` payload, like ``BENCH_serve.json``) next to
@@ -25,7 +28,8 @@ from pathlib import Path
 
 from repro.core import build_decomposition, build_labeling
 from repro.core.serialize import dump_labeling
-from repro.dynamic import EdgeUpdate, incremental_relabel
+from repro.dynamic import EdgeUpdate, delta_to_dict, incremental_relabel
+from repro.dynamic import rebuild
 from repro.generators import k_tree, random_delaunay_graph
 from repro.obs.export import write_bench_json
 from repro.util import format_table
@@ -49,7 +53,10 @@ def reweight(rng: random.Random, graph) -> EdgeUpdate:
     return EdgeUpdate(u, v, new_w)
 
 
-def run_case(family: str, n: int, seed: int = 18):
+def relabel_sequence(family: str, n: int, seed: int):
+    """Build one case from scratch and apply its reweight sequence:
+    ``(graph, tree, labeling, full build seconds, per-update seconds,
+    deltas in wire form)``."""
     graph = FAMILIES[family](n)
     tree = build_decomposition(graph)
 
@@ -59,15 +66,20 @@ def run_case(family: str, n: int, seed: int = 18):
 
     rng = random.Random(seed)
     incr_s = []
-    touched = 0
-    units = 0
+    deltas = []
     for _ in range(UPDATES):
         update = reweight(rng, graph)
         start = time.perf_counter()
         delta = incremental_relabel(labeling, update)
         incr_s.append(time.perf_counter() - start)
-        touched += delta.num_changes
-        units += delta.units
+        deltas.append(delta_to_dict(delta))
+    return graph, tree, labeling, full_s, incr_s, deltas
+
+
+def run_case(family: str, n: int, monkeypatch, seed: int = 18):
+    graph, tree, labeling, full_s, incr_s, deltas = relabel_sequence(
+        family, n, seed
+    )
 
     # Byte-identity after the whole run doubles as a second full-build
     # timing sample (same graph, same tree, post-update weights).
@@ -75,6 +87,18 @@ def run_case(family: str, n: int, seed: int = 18):
     fresh = build_labeling(graph, tree, epsilon=EPS)
     full_s = min(full_s, time.perf_counter() - verify_start)
     identical = dump_labeling(labeling) == dump_labeling(fresh)
+
+    nocache_s = None
+    if n == max(SIZES):
+        # A fresh, empty cache per update: every affected unit recomputes
+        # cold.  The deltas must not depend on the cache.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                rebuild, "_dist_cache", lambda labeling: rebuild._UnitDistCache()
+            )
+            _, _, _, _, cold_s, cold_deltas = relabel_sequence(family, n, seed)
+        nocache_s = sum(cold_s) / len(cold_s)
+        identical = identical and cold_deltas == deltas
 
     mean_incr = sum(incr_s) / len(incr_s)
     return {
@@ -84,23 +108,28 @@ def run_case(family: str, n: int, seed: int = 18):
         "labels": len(labeling.labels),
         "full_s": full_s,
         "mean_incr_s": mean_incr,
+        "mean_nocache_s": nocache_s,
         "speedup": full_s / mean_incr if mean_incr > 0 else float("inf"),
         "updates_per_s": 1.0 / mean_incr if mean_incr > 0 else float("inf"),
-        "mean_touched_entries": touched / UPDATES,
-        "mean_affected_units": units / UPDATES,
+        "mean_touched_entries": sum(len(d["changes"]) + len(d["removals"])
+                                    for d in deltas) / UPDATES,
+        "mean_affected_units": sum(d["units"] for d in deltas) / UPDATES,
         "identical": identical,
     }
 
 
-def test_e18_bench_dynamic(record_table):
+def test_e18_bench_dynamic(record_table, monkeypatch):
     cases = [
-        run_case(family, n) for family in sorted(FAMILIES) for n in SIZES
+        run_case(family, n, monkeypatch)
+        for family in sorted(FAMILIES)
+        for n in SIZES
     ]
     header = [
         "family",
         "n",
         "full_ms",
         "incr_ms",
+        "nocache_ms",
         "speedup",
         "upd/s",
         "entries",
@@ -113,6 +142,9 @@ def test_e18_bench_dynamic(record_table):
             c["n"],
             round(1e3 * c["full_s"], 2),
             round(1e3 * c["mean_incr_s"], 3),
+            None
+            if c["mean_nocache_s"] is None
+            else round(1e3 * c["mean_nocache_s"], 3),
             round(c["speedup"], 1),
             round(c["updates_per_s"], 1),
             round(c["mean_touched_entries"], 1),
@@ -144,8 +176,9 @@ def test_e18_bench_dynamic(record_table):
         cwd=str(BENCH_OUT.parent),
     )
     # Acceptance gates: every case stayed byte-identical to the
-    # from-scratch rebuild, and at the largest size the incremental
-    # path is >= 5x cheaper than a full relabel.
+    # from-scratch rebuild (and, at the largest size, gave the same
+    # deltas without the cache), and at the largest size the
+    # incremental path is >= 5x cheaper than a full relabel.
     assert all(c["identical"] for c in cases), cases
     largest = [c for c in cases if c["n"] == max(SIZES)]
     for c in largest:

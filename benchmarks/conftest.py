@@ -8,8 +8,10 @@ Every experiment bench prints its paper-style table (visible with
   rows + git SHA + wall-clock) so the perf trajectory is
   machine-readable and future PRs can diff against a baseline.
 
-At session end, ``BENCH_baseline.json`` at the repo root aggregates
-per-experiment wall-clock for every bench test that ran.
+At session end, every bench test that ran is merged into
+``BENCH_baseline.json`` at the repo root: its entry (wall-clock,
+outcome, git SHA) replaces any earlier one of the same test, and
+entries of tests that did not run are kept as they were.
 EXPERIMENTS.md is the curated record of one run of these benches.
 """
 
@@ -31,7 +33,6 @@ BASELINE_PATH = REPO_ROOT / "BENCH_baseline.json"
 
 # nodeid -> wall-clock seconds for bench tests that ran this session.
 _BENCH_DURATIONS = {}
-_SESSION_START = time.time()
 
 
 @pytest.fixture
@@ -76,17 +77,21 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write the top-level BENCH_baseline.json when benches ran."""
+    """Merge this session's bench tests into BENCH_baseline.json."""
     if not _BENCH_DURATIONS:
         return
+    experiments = {}
+    if BASELINE_PATH.exists():
+        experiments = json.loads(BASELINE_PATH.read_text())["experiments"]
+    sha = git_sha(cwd=str(REPO_ROOT))
+    for nodeid, entry in _BENCH_DURATIONS.items():
+        experiments[nodeid] = {**entry, "git_sha": sha}
     payload = {
         "format": "repro-bench-baseline/1",
-        "git_sha": git_sha(cwd=str(REPO_ROOT)),
         "unix_time": round(time.time(), 3),
-        "session_seconds": round(time.time() - _SESSION_START, 3),
-        "experiments": dict(sorted(_BENCH_DURATIONS.items())),
+        "experiments": dict(sorted(experiments.items())),
         "total_seconds": round(
-            sum(entry["seconds"] for entry in _BENCH_DURATIONS.values()), 3
+            sum(entry["seconds"] for entry in experiments.values()), 3
         ),
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -138,13 +138,16 @@ def touched_path_keys(
 
     Any such path belongs to an affected unit: path vertices are
     members of the residual they were peeled from, so a path containing
-    both endpoints certifies both are in that unit's residual.
+    both endpoints certifies both are in that unit's residual.  Only
+    the affected units' phases are scanned, in global unit order, so
+    keys come out in the same order a scan of every path would give.
     """
     out: List[PathKey] = []
-    for key in tree.all_path_keys():
-        path = tree.path_vertices(key)
-        for a, b in zip(path, path[1:]):
-            if (a == u and b == v) or (a == v and b == u):
-                out.append(key)
-                break
+    for node_id, phase_idx, _ in affected_units(tree, u, v):
+        phase = tree.nodes[node_id].separator.phases[phase_idx]
+        for path_idx, path in enumerate(phase.paths):
+            for a, b in zip(path, path[1:]):
+                if (a == u and b == v) or (a == v and b == u):
+                    out.append((node_id, phase_idx, path_idx))
+                    break
     return out

@@ -103,13 +103,6 @@ class LabelDelta:
         return not self.changes and not self.removals
 
 
-# Relative slack below which an edge is conservatively treated as
-# tight (on some shortest path).  Over-inclusion only costs an extra
-# recompute; the float error of a path-length sum is orders of
-# magnitude smaller than this, so a genuinely slack edge never slips
-# under the threshold.
-_TIGHT_TOL = 1e-9
-
 #: Entry budget (dict slots, not bytes) for the per-labeling cache of
 #: unit distance maps.  Whole units are evicted LRU past the budget.
 _DIST_CACHE_ENTRIES = 4_000_000
@@ -122,8 +115,9 @@ class _UnitDistCache:
     ``d_J(x, .)`` for every separator-path vertex x of the unit under
     the labeling's *current* graph weights, and are updated in
     lock-step with each incremental relabel.  A hit turns "re-run
-    Dijkstra from every path vertex of the unit" into "re-run it from
-    the few tight sources and diff against the cached rows".
+    Dijkstra from every path vertex of the unit" into "fold the
+    reweight into each cached row" (:func:`_propagate_increase`,
+    :func:`_propagate_decrease`).
     """
 
     def __init__(self, budget: int = _DIST_CACHE_ENTRIES) -> None:
@@ -175,50 +169,6 @@ def _flat_context(labeling: DistanceLabeling) -> flat_core.FlatBuildContext:
         ctx = flat_core.FlatBuildContext(labeling.graph, labeling.tree)
         labeling._flat_ctx = ctx
     return ctx
-
-
-def _phase_sources(phase) -> List[Vertex]:
-    seen = set()
-    out: List[Vertex] = []
-    for path in phase.paths:
-        for x in path:
-            if x not in seen:
-                seen.add(x)
-                out.append(x)
-    return out
-
-
-def _tight_sources(phase, dist_u, dist_v, w_min: float) -> List[Vertex]:
-    """Separator-path vertices of one unit the reweight can reach.
-
-    ``dist_u``/``dist_v`` are the residual-restricted distance maps of
-    the edge's endpoints under the **old** weights.  A source x's map
-    can change only if some old or new shortest path from x uses the
-    edge, and both directions reduce to one inequality on old data:
-
-    * weight increase: a change requires the old path to use the edge,
-      forcing the old tightness ``|d(x,u) - d(x,v)| = w_old``;
-    * weight decrease: an improvement through the edge at its new
-      weight forces ``d(x,u) + w_new < d(x,v)`` (or symmetrically),
-      i.e. ``|d(x,u) - d(x,v)| > w_new``.
-
-    Both are implied by ``|d(x,u) - d(x,v)| >= min(w_old, w_new)`` up
-    to float tolerance — so two endpoint Dijkstras decide a whole
-    unit, against one per path vertex to rebuild it.  Sources the
-    filter rejects keep bitwise-identical maps: every relaxation
-    through the edge loses strictly, so Dijkstra settles the same
-    values with or without the reweight.
-    """
-    tight: List[Vertex] = []
-    for x in _phase_sources(phase):
-        a = dist_u.get(x)
-        b = dist_v.get(x)
-        if a is None or b is None:
-            continue
-        tol = _TIGHT_TOL * (1.0 + a + b + w_min)
-        if abs(a - b) >= w_min - tol:
-            tight.append(x)
-    return tight
 
 
 def _propagate_decrease(graph, allowed, m, near, far, new_weight):
@@ -402,42 +352,11 @@ def incremental_relabel(
     with span("dynamic.relabel", u=repr(u), v=repr(v)):
         old_weight = graph.weight(u, v)
         # Affected units and touched paths are properties of the tree
-        # alone; the tightness pass below must also run before the
-        # mutation (it reasons from the old distance maps).
+        # alone, so they are read off before the mutation.
         units = affected_units(tree, u, v)
         touched = set(touched_path_keys(tree, u, v))
-        touched_units = {key[:2] for key in touched}
-        w_min = min(float(old_weight), new_weight)
         cache = _dist_cache(labeling)
         flat_ctx = _flat_context(labeling)
-
-        # Pre-mutation pass: cold units (no cached maps) get two
-        # endpoint Dijkstras deciding whether the reweight can change
-        # any of their distance maps at all (see _tight_sources); most
-        # units of a random update are dismissed here without touching
-        # their sources.  Warm units need nothing up front — their
-        # cached rows carry the old endpoint distances directly.
-        plans = []
-        skipped_units = 0
-        for node_id, phase_idx, residual in units:
-            forced = (node_id, phase_idx) in touched_units
-            if cache.get((node_id, phase_idx)) is not None:
-                plans.append((node_id, phase_idx, residual))
-                continue
-            phase = tree.nodes[node_id].separator.phases[phase_idx]
-            # Runs before the mutation below, so the CSR mirror still
-            # carries the old weight here — as the tightness reasoning
-            # requires.
-            endpoint_maps = flat_core.flat_distance_maps(
-                flat_ctx, (u, v), residual
-            )
-            tight = _tight_sources(
-                phase, endpoint_maps[u], endpoint_maps[v], w_min
-            )
-            if tight or forced:
-                plans.append((node_id, phase_idx, residual))
-            else:
-                skipped_units += 1
 
         graph.add_edge(u, v, new_weight)
         flat_ctx.csr.set_weight(u, v, new_weight)
@@ -451,13 +370,14 @@ def incremental_relabel(
             units=len(units),
         )
         increase = new_weight > float(old_weight)
-        for node_id, phase_idx, residual in plans:
+        for node_id, phase_idx, residual in units:
             unit = (node_id, phase_idx)
             phase = tree.nodes[node_id].separator.phases[phase_idx]
             maps = cache.get(unit)
             if maps is None:
-                # Cold unit: full recompute, and the maps seed the
-                # cache so the next update over this unit diffs.
+                # Cold unit (never computed, or evicted): full
+                # recompute, and the maps seed the cache so the next
+                # update over this unit folds into them instead.
                 maps = flat_core.flat_phase_distance_maps(
                     flat_ctx, node_id, phase_idx, residual
                 )
@@ -471,8 +391,7 @@ def incremental_relabel(
                 # what actually moved, and every row stays bitwise
                 # what a from-scratch Dijkstra would produce.
                 changed = set()
-                for x in _phase_sources(phase):
-                    m = maps[x]
+                for m in maps.values():
                     a = m.get(u, INF)
                     b = m.get(v, INF)
                     if a <= b:
@@ -530,7 +449,6 @@ def incremental_relabel(
         if metrics.enabled:
             metrics.inc("dynamic.updates")
             metrics.inc("dynamic.affected_units", len(units))
-            metrics.inc("dynamic.units_skipped", skipped_units)
             metrics.inc("dynamic.changed_entries", delta.num_changes)
             metrics.observe("dynamic.rebuild_seconds", seconds)
             metrics.observe(

@@ -10,11 +10,13 @@ from repro.dynamic import (
     DeltaError,
     DynamicError,
     EdgeUpdate,
+    affected_units,
     apply_delta_to_labels,
     delta_from_dict,
     delta_to_dict,
     incremental_relabel,
 )
+from repro.dynamic.rebuild import _UnitDistCache
 
 from tests.dynamic.conftest import CASES, EPSILON, fresh_case
 
@@ -40,6 +42,49 @@ class TestByteIdentity:
             # Full rebuild on the *same* tree with the mutated weights.
             fresh = build_labeling(graph, tree, epsilon=EPSILON)
             assert dump_labeling(labeling) == dump_labeling(fresh)
+
+    def test_cache_eviction_keeps_byte_identity(self, case):
+        # A one-entry budget evicts every unit but the newest on each
+        # put, so most units recompute cold after an eviction.
+        graph, tree, labeling = fresh_case(case)
+        cache = labeling._unit_dist_cache = _UnitDistCache(budget=1)
+        rng = random.Random(13)
+        evicted = False
+        for _ in range(5):
+            update = random_reweight(rng, graph)
+            units = affected_units(tree, update.u, update.v)
+            incremental_relabel(labeling, update)
+            assert len(cache.units) == 1
+            assert cache.entries == sum(
+                len(m) for maps in cache.units.values() for m in maps.values()
+            )
+            evicted |= len(units) > 1
+            fresh = build_labeling(graph, tree, epsilon=EPSILON)
+            assert dump_labeling(labeling) == dump_labeling(fresh)
+        assert evicted
+
+    def test_raise_then_lower_restores_the_labels(self, case):
+        # A warm increase followed by a warm decrease on the same edge
+        # must land back on the original bytes.
+        graph, tree, labeling = fresh_case(case)
+        original = dump_labeling(labeling)
+        # The lightest edge at a root separator vertex is its own
+        # shortest path, so doubling it moves that source's distances.
+        u = tree.path_vertices(next(tree.all_path_keys()))[0]
+        v, w = min(graph.neighbor_items(u), key=lambda item: item[1])
+        w = float(w)
+        units = [unit[:2] for unit in affected_units(tree, u, v)]
+        # The first round trip seeds the cache; the second runs warm.
+        for warm in (False, True):
+            cached = getattr(labeling, "_unit_dist_cache", None)
+            assert warm == all(
+                cached is not None and unit in cached.units for unit in units
+            )
+            up = incremental_relabel(labeling, EdgeUpdate(u, v, 2 * w))
+            assert not up.is_noop
+            down = incremental_relabel(labeling, EdgeUpdate(u, v, w))
+            assert not down.is_noop
+            assert dump_labeling(labeling) == original
 
     def test_delta_replays_onto_pristine_labels(self, case):
         graph, tree, labeling = fresh_case(case)

@@ -20,6 +20,7 @@ from repro.dynamic import (
     affected_units_bruteforce,
     affected_vertices,
     incremental_relabel,
+    touched_path_keys,
 )
 
 from tests.dynamic.conftest import CASES, EPSILON, fresh_case
@@ -78,6 +79,22 @@ class TestInvalidationSoundness:
         assert affected_units(tree, edge.u, edge.v) == (
             affected_units_bruteforce(tree, edge.u, edge.v)
         )
+
+    def test_touched_paths_match_full_scan(self, case):
+        # touched_path_keys walks only the affected units; a scan of
+        # every path in the tree must find the same keys, in order.
+        graph, tree, _ = fresh_case(case)
+        for u, v, _ in sorted(graph.edges(), key=repr):
+            full_scan = [
+                key
+                for key in tree.all_path_keys()
+                if any(
+                    {a, b} == {u, v}
+                    for a, b in zip(tree.path_vertices(key),
+                                    tree.path_vertices(key)[1:])
+                )
+            ]
+            assert touched_path_keys(tree, u, v) == full_scan
 
     @SLOW
     @given(update=update_strategy, followups=st.integers(1, 3))
