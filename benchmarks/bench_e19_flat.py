@@ -16,7 +16,8 @@ family (random Delaunay triangulations, eps = 0.25):
 * store-level queries — ``ShardedLabelStore.estimate`` throughput
   against a reference store over the same loaded labels (plain dicts
   in CRC-32 hash shards, combined by ``estimate_distance``), identical
-  answer checksums required; the store must win by **>= 3x**.
+  answer checksums required; over paired, order-alternated rounds the
+  median per-round ratio must be **>= 3x**.
 
 The query gate is deliberately *store-level*, not wire-level: E13
 serves queries through asyncio + JSON framing, which costs ~100us/query
@@ -31,6 +32,7 @@ the usual ``benchmarks/results/e19_flat.*`` pair.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 import zlib
 from pathlib import Path
@@ -51,6 +53,9 @@ EPS = 0.25
 #: so its speedup is the one a serve node actually sees per request.
 QUERY_N = 512
 QUERY_PAIRS = 20_000
+#: Paired, order-alternated rounds behind the query gate.  A single
+#: ratio swung from 2.6 to 3.3 between runs of the same code.
+QUERY_ROUNDS = 9
 BENCH_OUT = Path(__file__).parent.parent / "BENCH_flat.json"
 
 CONSTRUCTION_GATE = 5.0  # x, at the largest size
@@ -121,33 +126,49 @@ def reference_store_estimate(remote, num_shards):
 
 
 def run_store_queries():
+    """Per-query seconds of both stores over :data:`QUERY_ROUNDS` paired
+    rounds.  Each round times one full pass of each store, alternating
+    which goes first, so drift in the host's speed lands on both sides
+    of a round's ratio instead of on one store."""
     graph = random_delaunay_graph(QUERY_N, seed=QUERY_N)[0]
     tree = build_decomposition(graph)
     labeling = build_labeling(graph, tree, epsilon=EPS)
     remote = load_labeling(dump_labeling(labeling))
     pairs = synthesize_pairs(list(remote.vertices()), QUERY_PAIRS, seed=7)
     store = ShardedLabelStore.from_remote("e19", remote, num_shards=8)
+    kernels = {
+        "dict": reference_store_estimate(remote, 8),
+        "flat": store.estimate,
+    }
 
-    out = {}
-    checksums = {}
-    for kernel, estimate in (
-        ("dict", reference_store_estimate(remote, 8)),
-        ("flat", store.estimate),
-    ):
-        # One untimed pass warms caches, so the clock sees the
-        # per-query kernel only.
-        for u, v in pairs:
-            estimate(u, v)
+    def timed_pass(estimate):
         t0 = time.perf_counter()
         acc = 0.0
         for u, v in pairs:
             acc += estimate(u, v)
-        elapsed = time.perf_counter() - t0
-        out[kernel] = elapsed
-        checksums[kernel] = acc
-    # Same floats, in the same order: the sums are bit-equal.
-    assert checksums["flat"] == checksums["dict"], checksums
-    return out
+        return time.perf_counter() - t0, acc
+
+    # One untimed pass each warms caches, so the clock sees the
+    # per-query kernel only.
+    for estimate in kernels.values():
+        timed_pass(estimate)
+    rounds = []
+    for r in range(QUERY_ROUNDS):
+        order = ("dict", "flat") if r % 2 == 0 else ("flat", "dict")
+        seconds, checksums = {}, {}
+        for kernel in order:
+            seconds[kernel], checksums[kernel] = timed_pass(kernels[kernel])
+        # Same floats, in the same order: the sums are bit-equal.
+        assert checksums["flat"] == checksums["dict"], checksums
+        rounds.append(seconds)
+    return rounds
+
+
+def _quartiles(values):
+    """(q1, median, q3) by the inclusive method."""
+    ordered = sorted(values)
+    q1, median, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
+    return q1, median, q3
 
 
 def run_experiment():
@@ -156,20 +177,27 @@ def run_experiment():
         "dict": round(_fit_exponent(SIZES, dict_s), 3),
         "flat": round(_fit_exponent(SIZES, flat_s), 3),
     }
-    query_s = run_store_queries()
+    rounds = run_store_queries()
     build_speedup = dict_s[-1] / flat_s[-1]
-    query_speedup = query_s["dict"] / query_s["flat"]
+    ratios = [r["dict"] / r["flat"] for r in rounds]
+    q1, query_speedup, q3 = _quartiles(ratios)
+    query_s = {
+        kernel: statistics.median(r[kernel] for r in rounds) for kernel in ("dict", "flat")
+    }
     qps = {
         kernel: QUERY_PAIRS / elapsed for kernel, elapsed in query_s.items()
     }
+    # The speedup column is the median paired ratio, not a ratio of the
+    # two medians, which can come from rounds the host ran at different
+    # speeds.
     query_rows = [
         [
             kernel,
             round(query_s[kernel] / QUERY_PAIRS * 1e6, 2),
             round(qps[kernel]),
-            round(query_s["dict"] / query_s[kernel], 2),
+            round(speedup, 2),
         ]
-        for kernel in ("dict", "flat")
+        for kernel, speedup in (("dict", 1.0), ("flat", query_speedup))
     ]
     meta = {
         "epsilon": EPS,
@@ -183,9 +211,12 @@ def run_experiment():
         "query": {
             "n": QUERY_N,
             "pairs": QUERY_PAIRS,
+            "rounds": QUERY_ROUNDS,
             "seconds": {k: round(v, 4) for k, v in query_s.items()},
             "qps": {k: round(v) for k, v in qps.items()},
+            "round_speedups": [round(x, 3) for x in ratios],
             "speedup": round(query_speedup, 2),
+            "speedup_quartiles": [round(q1, 2), round(q3, 2)],
             "level": "store.estimate (wire framing excluded, see E13)",
         },
         "gates": {
@@ -211,7 +242,9 @@ def test_e19_bench_flat(record_table):
         query_header,
         query_rows,
         title=f"E19: store.estimate throughput, delaunay n={QUERY_N}, "
-        f"{QUERY_PAIRS} pairs",
+        f"{QUERY_PAIRS} pairs, median of {QUERY_ROUNDS} paired rounds "
+        f"(ratio {meta['query']['speedup']}, quartiles "
+        f"{meta['query']['speedup_quartiles']})",
     )
     record_table(
         "e19_flat",

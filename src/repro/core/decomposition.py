@@ -29,7 +29,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.engines import SeparatorEngine, auto_engine
+from repro.core.engines import SeparatorEngine, auto_engine, build_scope
 from repro.core.separator import PathSeparator
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
@@ -331,7 +331,7 @@ def build_decomposition(
         "decomposition.build",
         n=graph.num_vertices,
         engine=type(engine).__name__,
-    ):
+    ), build_scope(graph):
         pending: List[Tuple[FrozenSet[Vertex], Optional[int], int]] = [
             (frozenset(graph.vertices()), None, 0)
         ]

@@ -20,37 +20,49 @@ engines construct Definition-1 separators directly:
 
 Every engine returns a :class:`PathSeparator` whose ``validate`` method
 re-checks (P1)/(P3) independently.
+
+The engines work on integer ids, not on the vertex objects: a call
+numbers its vertex set in :func:`stable_key` order (so "smallest key"
+is "smallest id") and keeps each vertex's neighbours inside the set as
+an id list.  Candidate root paths are scored by one flood fill of the
+set minus all candidates together, then one union-find per candidate
+that merges the other candidates' vertices back onto those pieces.
+Shortest-path trees of at least :data:`repro.core.flat.SMALL_RESIDUAL`
+vertices run on scipy over an induced sub-CSR.  A scipy tree is used
+only when every reached vertex has exactly one tight in-arc, so its
+parents are the only possible ones and equal
+:func:`~repro.graphs.shortest_paths.dijkstra`'s; otherwise (integer
+weights on grids, say) the tree comes from ``dijkstra``.  Inside
+:func:`~repro.core.decomposition.build_decomposition` every call shares
+one :func:`build_scope`: the stable-key ranks and the CSR view are
+made once per build and dropped with it.  ``tests/reference_engines.py``
+keeps the vertex-object originals these must agree with.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import threading
 from abc import ABC, abstractmethod
-from typing import AbstractSet, Hashable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from contextlib import contextmanager
+from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set
+
+import numpy as _np
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.core.separator import PathSeparator, SeparatorPhase, singleton_separator
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
-from repro.graphs.ops import induced_subgraph
-from repro.graphs.shortest_paths import ShortestPathTree, dijkstra_tree
-from repro.treedecomp.center import center_bag
-from repro.treedecomp.heuristics import (
-    decomposition_from_elimination,
-    mcs_order,
-    min_degree_order,
-    min_fill_order,
-)
+from repro.graphs.shortest_paths import dijkstra, reconstruct_path
+from repro.treedecomp.elimination import RULES, center_bag_ids, stable_key
+from repro.treedecomp.heuristics import min_degree_width
 from repro.obs import metrics
 from repro.util.errors import GraphError
 from repro.util.rng import SeedLike, derive_seed, ensure_rng, seed_fingerprint
 
 Vertex = Hashable
-
-
-def _traced_dijkstra_tree(graph: Graph, root, allowed) -> ShortestPathTree:
-    """dijkstra_tree + the ``engine.dijkstra_trees`` counter."""
-    metrics.inc("engine.dijkstra_trees")
-    return dijkstra_tree(graph, root, allowed=allowed)
 
 
 class SeparatorEngine(ABC):
@@ -65,24 +77,118 @@ class SeparatorEngine(ABC):
 
 
 # ----------------------------------------------------------------------
-# Shared helpers
+# Per-build scope and integer views
 # ----------------------------------------------------------------------
 
 
-def _stable_key(v) -> str:
-    return f"{type(v).__name__}:{v!r}"
+class _Scope:
+    """What every engine call on one graph can share: each vertex's
+    stable-key rank and key bytes, and (on first use) the CSR view the
+    scipy trees gather their sub-CSRs from."""
+
+    __slots__ = ("graph", "rank", "keys", "_csr")
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        keys = {v: stable_key(v) for v in graph.vertices()}
+        self.rank = {v: r for r, v in enumerate(sorted(keys, key=keys.__getitem__))}
+        self.keys = keys
+        self._csr = None
+
+    def ordered(self, vertices: Iterable[Vertex]) -> List[Vertex]:
+        return sorted(vertices, key=self.rank.__getitem__)
+
+    def fingerprint(self, ordered: Sequence[Vertex]) -> str:
+        """Stable digest of a vertex set given in stable-key order."""
+        keys = self.keys
+        text = "".join([keys[v] + "\x00" for v in ordered])
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def csr(self):
+        """``(CSRGraph, vertex -> index, all -1 scratch)``, built once."""
+        if self._csr is None:
+            # Imported here: flat imports labeling, which imports
+            # decomposition, which imports this module.
+            from repro.core.flat import CSRGraph
+
+            csr = CSRGraph.from_graph(self.graph)
+            gid = {v: i for i, v in enumerate(csr.verts)}
+            g2l = _np.full(csr.num_vertices, -1, dtype=_np.int64)
+            self._csr = (csr, gid, g2l)
+        return self._csr
 
 
-def _component_fingerprint(universe: AbstractSet[Vertex]) -> str:
-    """Stable digest of a vertex set, insensitive to iteration order."""
-    digest = hashlib.sha256()
-    for key in sorted(_stable_key(v) for v in universe):
-        digest.update(key.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+_active = threading.local()
 
 
-def _component_rng(base_seed: int, engine: str, universe: AbstractSet[Vertex]):
+@contextmanager
+def build_scope(graph: Graph) -> Iterator[None]:
+    """Share one scope among all engine calls on *graph* until exit.
+
+    :func:`~repro.core.decomposition.build_decomposition` wraps its
+    loop in this, so the stable-key sort and the CSR view are made once
+    per build instead of once per node; nothing is kept after it."""
+    previous = getattr(_active, "scope", None)
+    _active.scope = _Scope(graph)
+    try:
+        yield
+    finally:
+        _active.scope = previous
+
+
+def _scope(graph: Graph) -> _Scope:
+    scope = getattr(_active, "scope", None)
+    if scope is not None and scope.graph is graph:
+        return scope
+    return _Scope(graph)
+
+
+class _Local:
+    """A vertex set numbered in stable-key order: ``verts[i]`` is id
+    ``i``, and ``adj[i]`` lists i's neighbours inside the set in graph
+    adjacency order."""
+
+    __slots__ = ("scope", "verts", "ids", "adj", "_gids")
+
+    def __init__(self, scope: _Scope, vertices: Iterable[Vertex]) -> None:
+        self.scope = scope
+        self.verts = verts = scope.ordered(vertices)
+        self.ids = ids = {v: i for i, v in enumerate(verts)}
+        get = ids.get
+        graph_adj = scope.graph._adj
+        adj = []
+        for v in verts:
+            row = [get(u) for u in graph_adj[v]]
+            if None in row:
+                row = [i for i in row if i is not None]
+            adj.append(row)
+        self.adj = adj
+        self._gids = None
+
+    def __len__(self) -> int:
+        return len(self.verts)
+
+    def gids(self):
+        """CSR index of every id, as an int64 array."""
+        if self._gids is None:
+            _, gid, _ = self.scope.csr()
+            self._gids = _np.fromiter(
+                (gid[v] for v in self.verts), dtype=_np.int64, count=len(self.verts)
+            )
+        return self._gids
+
+    def vertices(self, ids: Iterable[int]) -> List[Vertex]:
+        verts = self.verts
+        return [verts[i] for i in ids]
+
+
+def _universe(graph: Graph, within: Optional[AbstractSet[Vertex]]) -> Set[Vertex]:
+    if within is None:
+        return set(graph.vertices())
+    return {v for v in within if v in graph}
+
+
+def _component_rng(base_seed: int, engine: str, local: _Local):
     """Per-call RNG derived from a spawn key, not from shared state.
 
     Randomized engines used to consume one shared stream across
@@ -94,68 +200,377 @@ def _component_rng(base_seed: int, engine: str, universe: AbstractSet[Vertex]):
     function of its inputs: order-independent, fork-safe, and
     byte-reproducible across runs.
     """
-    return ensure_rng(
-        derive_seed(base_seed, "engine", engine, _component_fingerprint(universe))
+    fingerprint = local.scope.fingerprint(local.verts)
+    return ensure_rng(derive_seed(base_seed, "engine", engine, fingerprint))
+
+
+def _measure(parts: Iterable[Sequence[int]], weight: Optional[List[float]]):
+    """The measure (P3) balances, of the union of disjoint id lists: the
+    vertex count, or with vertex weights their correctly rounded sum
+    (``math.fsum``), which does not depend on how the vertices are
+    grouped or ordered."""
+    if weight is None:
+        return sum(map(len, parts))
+    return math.fsum([weight[i] for part in parts for i in part])
+
+
+def _heavy_component(
+    adj: List[List[int]],
+    seeds: Iterable[int],
+    alive: bytearray,
+    half: float,
+    weight: Optional[List[float]] = None,
+) -> Optional[List[int]]:
+    """The component of the *alive* ids reached from *seeds* whose
+    measure exceeds *half*, in ascending ids; None when there is none.
+    Measures are non-negative, so at most one component qualifies."""
+    seen = bytearray(len(adj))
+    for s in seeds:
+        if seen[s] or not alive[s]:
+            continue
+        seen[s] = 1
+        comp = [s]
+        for u in comp:
+            for x in adj[u]:
+                if alive[x] and not seen[x]:
+                    seen[x] = 1
+                    comp.append(x)
+        if _measure([comp], weight) > half:
+            comp.sort()
+            return comp
+    return None
+
+
+_OUT, _CUT, _FREE = -3, -2, -1
+
+
+def _heaviest_after_removal(
+    adj: List[List[int]],
+    region: Sequence[int],
+    removals: Sequence[Sequence[int]],
+    weight: Optional[List[float]] = None,
+) -> list:
+    """For each id collection in *removals*: the measure of the heaviest
+    component of *region* minus that collection (0 when nothing is left).
+
+    One flood fill splits the region minus the union of all removals
+    into base pieces.  The union's own vertices are grouped into blocks:
+    connected runs of vertices that lie in exactly the same removals,
+    so that each removal keeps or drops a block whole.  Per removal, a
+    union-find merges the kept blocks with each other and with the
+    pieces they touch; untouched pieces stay as they are.
+    """
+    state = [_OUT] * len(adj)
+    for v in region:
+        state[v] = _FREE
+    member_of: Dict[int, List[int]] = {}
+    for i, removal in enumerate(removals):
+        for v in removal:
+            if state[v] != _OUT:
+                owners = member_of.setdefault(v, [])
+                if not owners or owners[-1] != i:
+                    owners.append(i)
+    for v in member_of:
+        state[v] = _CUT
+
+    pieces: List[List[int]] = []
+    for s in region:
+        if state[s] != _FREE:
+            continue
+        k = len(pieces)
+        state[s] = k
+        members = [s]
+        for u in members:
+            for x in adj[u]:
+                if state[x] == _FREE:
+                    state[x] = k
+                    members.append(x)
+        pieces.append(members)
+    num_pieces = len(pieces)
+    piece_measure = [_measure([members], weight) for members in pieces]
+    heaviest_first = sorted(range(num_pieces), key=piece_measure.__getitem__, reverse=True)
+
+    blocks: List[List[int]] = []
+    block_of: Dict[int, int] = {}
+    dropped: List[Set[int]] = [set() for _ in removals]
+    for v, owners in member_of.items():
+        if v in block_of:
+            continue
+        b = len(blocks)
+        block_of[v] = b
+        members = [v]
+        for u in members:
+            for x in adj[u]:
+                if state[x] == _CUT and x not in block_of and member_of[x] == owners:
+                    block_of[x] = b
+                    members.append(x)
+        blocks.append(members)
+        for i in owners:
+            dropped[i].add(b)
+    block_links: List[List[int]] = []
+    piece_links: List[List[int]] = []
+    for b, members in enumerate(blocks):
+        near_blocks, near_pieces = set(), set()
+        for u in members:
+            for x in adj[u]:
+                if state[x] >= 0:
+                    near_pieces.add(state[x])
+                elif state[x] == _CUT:
+                    near_blocks.add(block_of[x])
+        near_blocks.discard(b)
+        block_links.append(list(near_blocks))
+        piece_links.append(list(near_pieces))
+
+    scores = []
+    for drop in dropped:
+        # Union-find over the kept blocks (path halving, inlined); a
+        # piece joins the set of the first kept block that touches it.
+        parent = list(range(len(blocks)))
+        piece_block: Dict[int, int] = {}
+        kept = [b for b in range(len(blocks)) if b not in drop]
+        for b in kept:
+            root = b
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            for c in block_links[b]:
+                if c in drop:
+                    continue
+                while parent[c] != c:
+                    parent[c] = c = parent[parent[c]]
+                if c != root:
+                    parent[c] = root
+            for k in piece_links[b]:
+                c = piece_block.setdefault(k, root)
+                while parent[c] != c:
+                    parent[c] = c = parent[parent[c]]
+                if c != root:
+                    parent[c] = root
+        groups: Dict[int, List[List[int]]] = {}
+        for b in kept:
+            root = b
+            while parent[root] != root:
+                root = parent[root]
+            parent[b] = root
+            groups.setdefault(root, []).append(blocks[b])
+        for k, b in piece_block.items():
+            groups[parent[b]].append(pieces[k])
+        best = max((_measure(parts, weight) for parts in groups.values()), default=0)
+        for k in heaviest_first:
+            if k not in piece_block:
+                best = max(best, piece_measure[k])
+                break
+        scores.append(best)
+    return scores
+
+
+def largest_after_removal(
+    graph: Graph,
+    comp: AbstractSet[Vertex],
+    removals: Sequence[Sequence[Vertex]],
+) -> List[int]:
+    """For each vertex collection in *removals*: the vertex count of the
+    largest component of ``graph[comp]`` minus it (0 when nothing is
+    left), by one flood fill plus a union-find per collection."""
+    local = _Local(_scope(graph), comp)
+    ids = local.ids
+    return _heaviest_after_removal(
+        local.adj,
+        range(len(local)),
+        [[ids[v] for v in removal if v in ids] for removal in removals],
     )
 
 
-def _universe(graph: Graph, within: Optional[AbstractSet[Vertex]]) -> Set[Vertex]:
-    if within is None:
-        return set(graph.vertices())
-    return {v for v in within if v in graph}
+class _Tree:
+    """A shortest-path tree over local ids: ``dist`` and ``parent`` of
+    every reached id (the root's parent is None)."""
+
+    __slots__ = ("dist", "parent")
+
+    def __init__(self, dist: Dict[int, float], parent: Dict[int, Optional[int]]) -> None:
+        self.dist = dist
+        self.parent = parent
+
+    def path_to(self, v: int) -> List[int]:
+        """The tree path root -> v (a shortest path of the region)."""
+        return reconstruct_path(self.parent, v)
+
+
+class _Region:
+    """An ascending id subset of a :class:`_Local` that shortest-path
+    trees are grown inside (Dijkstra's ``allowed`` set)."""
+
+    __slots__ = ("local", "ids", "_sub", "_arc_rows", "_allowed")
+
+    def __init__(self, local: _Local, ids: List[int]) -> None:
+        self.local = local
+        self.ids = ids
+        self._sub = None
+        self._arc_rows = None
+        self._allowed = None
+
+    def distances(self, root: int) -> Dict[int, float]:
+        """Shortest distances from *root* to every reached id."""
+        metrics.inc("engine.dijkstra_trees")
+        if self._scipy_sized():
+            dist, _ = self._scipy(root, parents=False)
+            return dist
+        ids = self.local.ids
+        dist, _ = self._dijkstra(root)
+        return {ids[v]: d for v, d in dist.items()}
+
+    def tree(self, root: int) -> _Tree:
+        """The shortest-path tree :func:`dijkstra` grows from *root*."""
+        metrics.inc("engine.dijkstra_trees")
+        if self._scipy_sized():
+            dist, parent = self._scipy(root, parents=True)
+            if parent is not None:
+                return _Tree(dist, parent)
+        ids = self.local.ids
+        dist, parent = self._dijkstra(root)
+        return _Tree(
+            {ids[v]: d for v, d in dist.items()},
+            {ids[v]: None if p is None else ids[p] for v, p in parent.items()},
+        )
+
+    def _scipy_sized(self) -> bool:
+        from repro.core import flat
+
+        return len(self.ids) >= flat.SMALL_RESIDUAL
+
+    def _dijkstra(self, root: int):
+        """The reference kernel, on the vertex objects."""
+        local = self.local
+        if self._allowed is None:
+            self._allowed = set(local.vertices(self.ids))
+        return dijkstra(local.scope.graph, local.verts[root], allowed=self._allowed)
+
+    def _scipy(self, root: int, parents: bool):
+        np = _np
+        if self._sub is None:
+            from repro.core.flat import induced_csr
+
+            csr, _, g2l = self.local.scope.csr()
+            ids = np.asarray(self.ids, dtype=np.int64)
+            self._sub = (ids, induced_csr(csr, g2l, self.local.gids()[ids]))
+        ids, sub = self._sub
+        row = bisect_left(self.ids, root)
+        if parents:
+            dist, pred = _csgraph_dijkstra(
+                sub, directed=True, indices=row, return_predecessors=True
+            )
+        else:
+            dist = _csgraph_dijkstra(sub, directed=True, indices=row)
+        reached = np.flatnonzero(np.isfinite(dist))
+        reached_ids = ids[reached].tolist()
+        dist_map = dict(zip(reached_ids, dist[reached].tolist()))
+        if not parents or not self._parents_unique(sub, dist, row):
+            return dist_map, None
+        parent = dict(zip(reached_ids, ids[np.maximum(pred[reached], 0)].tolist()))
+        parent[root] = None
+        return dist_map, parent
+
+    def _parents_unique(self, sub, dist, row: int) -> bool:
+        """Whether every reached vertex but the root has exactly one
+        tight in-arc (``dist[u] + w == dist[v]``).  Any Dijkstra's
+        parent is a tight in-arc, so then all of them agree."""
+        np = _np
+        if self._arc_rows is None:
+            counts = np.diff(sub.indptr)
+            self._arc_rows = np.repeat(np.arange(len(counts)), counts)
+        tail = dist[self._arc_rows]
+        tight = np.isfinite(tail) & (tail + sub.data == dist[sub.indices])
+        in_tight = np.bincount(sub.indices[tight], minlength=len(dist))
+        reached = np.isfinite(dist)
+        reached[row] = False
+        return bool(np.all(in_tight[reached] == 1))
+
+
+def _approx_center(region: _Region) -> int:
+    """Midpoint of a double-sweep diametral path of the region."""
+    start = region.ids[0]
+    if len(region.ids) == 1:
+        return start
+    dist0 = region.distances(start)
+    a = max(dist0, key=lambda v: (dist0[v], v))
+    tree_a = region.tree(a)
+    dist = tree_a.dist
+    b = max(dist, key=lambda v: (dist[v], v))
+    diam_path = tree_a.path_to(b)
+    half = dist[b] / 2
+    for v in diam_path:
+        if dist[v] >= half:
+            return v
+    return diam_path[-1]
 
 
 def approx_center(graph: Graph, comp: AbstractSet[Vertex]) -> Vertex:
     """Approximate center of a component: midpoint of a double-sweep
     diametral path.  A good Dijkstra-tree root for balanced peeling."""
-    start = min(comp, key=_stable_key)
-    if len(comp) == 1:
-        return start
-    tree0 = _traced_dijkstra_tree(graph, start, allowed=comp)
-    a = max(tree0.dist, key=lambda v: (tree0.dist[v], _stable_key(v)))
-    tree_a = _traced_dijkstra_tree(graph, a, allowed=comp)
-    b = max(tree_a.dist, key=lambda v: (tree_a.dist[v], _stable_key(v)))
-    diam_path = tree_a.path_to(b)
-    half = tree_a.dist[b] / 2
-    for v in diam_path:
-        if tree_a.dist[v] >= half:
+    local = _Local(_scope(graph), comp)
+    return local.verts[_approx_center(_Region(local, list(range(len(local)))))]
+
+
+def _centroid(region: _Region) -> int:
+    """The centroid of a region that induces a tree."""
+    root = region.ids[0]
+    tree = region.tree(root)
+    dist, parent = tree.dist, tree.parent
+    size = dict.fromkeys(dist, 1)
+    children: Dict[int, List[int]] = {}
+    for v in sorted(dist, key=dist.__getitem__, reverse=True):
+        p = parent[v]
+        if p is not None:
+            size[p] += size[v]
+            children.setdefault(p, []).append(v)
+    total = len(region.ids)
+    v = root
+    while True:
+        heavy = None
+        for c in children.get(v, ()):
+            if size[c] > total / 2:
+                heavy = c
+                break
+        if heavy is None:
             return v
-    return diam_path[-1]
-
-
-def _largest_within(graph: Graph, vertices: Set[Vertex]) -> int:
-    comps = connected_components(graph, within=vertices)
-    return len(comps[0]) if comps else 0
+        v = heavy
 
 
 def _path_candidates(
-    tree: ShortestPathTree,
-    comp: AbstractSet[Vertex],
+    tree: _Tree,
+    inside: Optional[AbstractSet[int]],
     num_candidates: int,
     rng,
-) -> List[Vertex]:
-    """Candidate path endpoints: the farthest vertex, deep leaves, and a
-    random sample — a spread that works well across graph families."""
-    reachable = [v for v in tree.dist if v in comp]
+) -> List[int]:
+    """Candidate path endpoints inside *inside* (None: the whole tree):
+    the farthest vertex, deep leaves, and a random sample — a spread
+    that works well across graph families."""
+    dist = tree.dist
+    reachable = list(dist) if inside is None else [v for v in dist if v in inside]
     if not reachable:
         return []
-    picks: List[Vertex] = []
-    seen: Set[Vertex] = set()
+    picks: List[int] = []
+    seen: Set[int] = set()
 
-    def take(v: Vertex) -> None:
+    def take(v: int) -> None:
         if v not in seen:
             seen.add(v)
             picks.append(v)
 
-    take(max(reachable, key=lambda v: (tree.dist[v], _stable_key(v))))
-    leaves = [v for v in reachable if not tree.children.get(v)]
-    leaves.sort(key=lambda v: (-tree.dist[v], _stable_key(v)))
+    take(max(reachable, key=lambda v: (dist[v], v)))
+    has_child = set(tree.parent.values())
+    leaves = [v for v in reachable if v not in has_child]
+    leaves.sort(key=lambda v: (-dist[v], v))
     for v in leaves[: max(1, num_candidates // 2)]:
         take(v)
-    pool = sorted(reachable, key=_stable_key)
+    pool = sorted(reachable)
     while len(picks) < num_candidates and len(seen) < len(reachable):
         take(pool[rng.randrange(len(pool))])
     return picks[:num_candidates]
+
+
+def _first_best(scores: Sequence, paths: Sequence[Sequence[int]]) -> int:
+    """Index of the lowest ``(score, path length)``; the first on ties."""
+    return min(range(len(paths)), key=lambda i: (scores[i], len(paths[i])))
 
 
 # ----------------------------------------------------------------------
@@ -173,40 +588,21 @@ class TreeCentroidEngine(SeparatorEngine):
         self, graph: Graph, within: Optional[AbstractSet[Vertex]] = None
     ) -> PathSeparator:
         metrics.inc("engine.calls", engine="centroid")
-        universe = _universe(graph, within)
-        if not universe:
+        local = _Local(_scope(graph), _universe(graph, within))
+        n = len(local)
+        comp = _heavy_component(local.adj, range(n), bytearray(b"\x01") * n, n / 2)
+        if comp is None:
             return PathSeparator()
-        comps = connected_components(graph, within=universe)
-        comp = comps[0]
-        if len(comp) <= len(universe) / 2:
-            return PathSeparator()
-        edge_count = sum(
-            1
-            for u in comp
-            for v in graph.neighbors(u)
-            if v in comp and _stable_key(u) < _stable_key(v)
-        )
+        edge_count = sum(len(local.adj[v]) for v in comp) // 2
         if edge_count != len(comp) - 1:
             raise GraphError("TreeCentroidEngine requires an acyclic (sub)graph")
-        centroid = self._centroid(graph, comp)
-        return singleton_separator([centroid])
+        return singleton_separator([local.verts[_centroid(_Region(local, comp))]])
 
     @staticmethod
     def _centroid(graph: Graph, comp: AbstractSet[Vertex]) -> Vertex:
-        root = min(comp, key=_stable_key)
-        tree = _traced_dijkstra_tree(graph, root, allowed=comp)
-        sizes = tree.subtree_sizes()
-        total = len(comp)
-        v = root
-        while True:
-            heavy = None
-            for c in tree.children.get(v, ()):
-                if sizes[c] > total / 2:
-                    heavy = c
-                    break
-            if heavy is None:
-                return v
-            v = heavy
+        """The centroid of *comp*, which must induce a tree."""
+        local = _Local(_scope(graph), comp)
+        return local.verts[_centroid(_Region(local, list(range(len(local)))))]
 
 
 class CenterBagEngine(SeparatorEngine):
@@ -215,36 +611,30 @@ class CenterBagEngine(SeparatorEngine):
     Computes a tree decomposition of the induced subgraph with the
     chosen elimination heuristic (``'min_degree'``, ``'min_fill'``, or
     ``'mcs'`` — exact on chordal graphs such as k-trees) and emits the
-    center bag as single-vertex paths (Theorem 7's construction).
+    center bag as single-vertex paths (Theorem 7's construction).  The
+    elimination, bags and center walk run in one pass over integer
+    adjacency (:func:`~repro.treedecomp.elimination.center_bag_ids`).
     """
 
-    _ORDERS = {
-        "min_degree": min_degree_order,
-        "min_fill": min_fill_order,
-        "mcs": mcs_order,
-    }
-
     def __init__(self, order: str = "min_degree") -> None:
-        if order not in self._ORDERS:
+        if order not in RULES:
             raise ValueError(f"unknown elimination order {order!r}")
         self.order_name = order
-        self._order_fn = self._ORDERS[order]
 
     def find_separator(
         self, graph: Graph, within: Optional[AbstractSet[Vertex]] = None
     ) -> PathSeparator:
         metrics.inc("engine.calls", engine="centerbag")
-        universe = _universe(graph, within)
-        if not universe:
+        local = _Local(_scope(graph), _universe(graph, within))
+        n = len(local)
+        comp = _heavy_component(local.adj, range(n), bytearray(b"\x01") * n, n / 2)
+        if comp is None:
             return PathSeparator()
-        comps = connected_components(graph, within=universe)
-        comp = comps[0]
-        if len(comp) <= len(universe) / 2:
-            return PathSeparator()
-        sub = induced_subgraph(graph, comp)
-        td = decomposition_from_elimination(sub, self._order_fn(sub))
-        bag = td.bags[center_bag(sub, td)]
-        return singleton_separator(sorted(bag, key=_stable_key))
+        # Renumber the component 0..len-1, still in stable-key order.
+        remap = {v: i for i, v in enumerate(comp)}
+        adj = [{remap[u] for u in local.adj[v]} for v in comp]
+        bag = center_bag_ids(adj, self.order_name)
+        return singleton_separator([local.verts[comp[i]] for i in sorted(bag)])
 
 
 class GreedyPeelingEngine(SeparatorEngine):
@@ -267,7 +657,8 @@ class GreedyPeelingEngine(SeparatorEngine):
         vertex_weight: Optional[dict] = None,
     ) -> None:
         """*vertex_weight* switches (P3) to the paper's vertex-weighted
-        variant: components are balanced by total weight, not count."""
+        variant: components are balanced by total (non-negative) weight,
+        not count."""
         if num_candidates < 1:
             raise ValueError("num_candidates must be >= 1")
         self.num_candidates = num_candidates
@@ -278,59 +669,45 @@ class GreedyPeelingEngine(SeparatorEngine):
         self._base_seed = seed_fingerprint(seed)
         self.vertex_weight = vertex_weight
 
-    def _measure(self, vertices) -> float:
-        if self.vertex_weight is None:
-            return len(vertices)
-        weight = self.vertex_weight
-        return sum(weight.get(v, 0.0) for v in vertices)
-
     def find_separator(
         self, graph: Graph, within: Optional[AbstractSet[Vertex]] = None
     ) -> PathSeparator:
         metrics.inc("engine.calls", engine="greedy")
-        universe = _universe(graph, within)
-        rng = _component_rng(self._base_seed, "greedy", universe)
-        half = self._measure(universe) / 2
+        local = _Local(_scope(graph), _universe(graph, within))
+        rng = _component_rng(self._base_seed, "greedy", local)
+        weight = None
+        if self.vertex_weight is not None:
+            weight = [self.vertex_weight.get(v, 0.0) for v in local.verts]
+        n = len(local)
+        total = _measure([range(n)], weight)
+        half = total / 2
+        alive = bytearray(b"\x01") * n
         phases: List[SeparatorPhase] = []
-        residual = set(universe)
-        while True:
-            comps = connected_components(graph, within=residual)
-            if not comps:
-                break
-            comp = max(comps, key=self._measure)
-            if self._measure(comp) <= half:
-                break
+        comp = _heavy_component(local.adj, range(n), alive, half, weight)
+        while comp is not None:
             if self.max_paths is not None and len(phases) >= self.max_paths:
                 raise GraphError(
                     f"GreedyPeelingEngine exceeded max_paths={self.max_paths} "
-                    f"(heaviest component still {self._measure(comp)} "
-                    f"of {self._measure(universe)})"
+                    f"(heaviest component still {_measure([comp], weight)} "
+                    f"of {total})"
                 )
-            path = self._best_peel(graph, comp, rng)
-            phases.append(SeparatorPhase(paths=[path]))
-            residual -= set(path)
+            path = self._best_peel(local, comp, rng, weight)
+            phases.append(SeparatorPhase(paths=[local.vertices(path)]))
+            for v in path:
+                alive[v] = 0
+            # Every other residual component weighs less than half, so
+            # only the peeled component can still be too heavy.
+            comp = _heavy_component(local.adj, comp, alive, half, weight)
         return PathSeparator(phases=phases)
 
-    def _best_peel(self, graph: Graph, comp: Set[Vertex], rng) -> List[Vertex]:
-        root = approx_center(graph, comp)
-        tree = _traced_dijkstra_tree(graph, root, allowed=comp)
-        candidates = _path_candidates(tree, comp, self.num_candidates, rng)
+    def _best_peel(self, local: _Local, comp: List[int], rng, weight) -> List[int]:
+        region = _Region(local, comp)
+        tree = region.tree(_approx_center(region))
+        candidates = _path_candidates(tree, None, self.num_candidates, rng)
         metrics.inc("engine.candidates_evaluated", len(candidates))
-        best_path: Optional[List[Vertex]] = None
-        best_score: Optional[Tuple[float, int]] = None
-        for x in candidates:
-            path = tree.path_to(x)
-            rest = comp - set(path)
-            rest_comps = connected_components(graph, within=rest)
-            heaviest = max(
-                (self._measure(c) for c in rest_comps), default=0.0
-            )
-            score = (heaviest, len(path))
-            if best_score is None or score < best_score:
-                best_score = score
-                best_path = path
-        assert best_path is not None
-        return best_path
+        paths = [tree.path_to(x) for x in candidates]
+        scores = _heaviest_after_removal(local.adj, comp, paths, weight)
+        return paths[_first_best(scores, paths)]
 
 
 class FundamentalCycleEngine(SeparatorEngine):
@@ -362,60 +739,59 @@ class FundamentalCycleEngine(SeparatorEngine):
     ) -> PathSeparator:
         metrics.inc("engine.calls", engine="cycle")
         universe = _universe(graph, within)
-        rng = _component_rng(self._base_seed, "cycle", universe)
-        half = len(universe) / 2
-        comps = connected_components(graph, within=universe)
-        if not comps or len(comps[0]) <= half:
+        local = _Local(_scope(graph), universe)
+        rng = _component_rng(self._base_seed, "cycle", local)
+        n = len(local)
+        half = n / 2
+        alive = bytearray(b"\x01") * n
+        comp = _heavy_component(local.adj, range(n), alive, half)
+        if comp is None:
             return PathSeparator()
-        comp = comps[0]
-        root = approx_center(graph, comp)
-        tree = _traced_dijkstra_tree(graph, root, allowed=comp)
+        region = _Region(local, comp)
+        tree = region.tree(_approx_center(region))
 
-        nontree = self._nontree_edges(graph, tree, comp)
+        nontree = self._nontree_edges(local, tree, comp)
         metrics.inc("engine.nontree_edges_scanned", len(nontree))
         if not nontree:
-            centroid = TreeCentroidEngine._centroid(graph, comp)
-            return singleton_separator([centroid])
+            return singleton_separator([local.verts[_centroid(region)]])
         if len(nontree) > self.max_edge_samples:
             nontree = [
                 nontree[i]
                 for i in sorted(rng.sample(range(len(nontree)), self.max_edge_samples))
             ]
 
-        best: Optional[Tuple[int, List[List[Vertex]]]] = None
-        for u, v in nontree:
-            pu, pv = tree.path_to(u), tree.path_to(v)
-            rest = comp - set(pu) - set(pv)
-            score = _largest_within(graph, rest)
-            if best is None or score < best[0]:
-                best = (score, [pu, pv])
-        assert best is not None
-        score, paths = best
+        pairs = [(tree.path_to(u), tree.path_to(v)) for u, v in nontree]
+        scores = _heaviest_after_removal(local.adj, comp, [pu + pv for pu, pv in pairs])
+        best = min(range(len(pairs)), key=scores.__getitem__)
+        score, paths = scores[best], list(pairs[best])
         if score <= half:
-            return PathSeparator(phases=[SeparatorPhase(paths=paths)])
+            return PathSeparator(phases=[SeparatorPhase(paths=self._paths(local, paths))])
 
         # Third root path: aim into the largest remaining component.
-        removed = set().union(*(set(p) for p in paths))
-        sub_comps = connected_components(graph, within=comp - removed)
-        target = sub_comps[0]
-        sub_tree_candidates = _path_candidates(
-            tree, target, self.num_third_candidates, rng
-        )
-        best3: Optional[Tuple[int, List[Vertex]]] = None
-        for x in sub_tree_candidates:
-            p3 = tree.path_to(x)
-            rest = comp - removed - set(p3)
-            s3 = _largest_within(graph, rest)
-            if best3 is None or s3 < best3[0]:
-                best3 = (s3, p3)
-        if best3 is not None and best3[0] <= half:
-            return PathSeparator(
-                phases=[SeparatorPhase(paths=paths + [best3[1]])]
-            )
+        for path in paths:
+            for v in path:
+                alive[v] = 0
+        rest = [v for v in comp if alive[v]]
+        target = _heavy_component(local.adj, rest, alive, half)
+        thirds = [
+            tree.path_to(x)
+            for x in _path_candidates(tree, set(target), self.num_third_candidates, rng)
+        ]
+        best3: Optional[List[int]] = None
+        if thirds:
+            s3 = _heaviest_after_removal(local.adj, rest, thirds)
+            i3 = min(range(len(thirds)), key=s3.__getitem__)
+            best3 = thirds[i3]
+            if s3[i3] <= half:
+                return PathSeparator(
+                    phases=[SeparatorPhase(paths=self._paths(local, paths + [best3]))]
+                )
 
         # Could not split strongly: finish with greedy-peeling phases.
-        phases = [SeparatorPhase(paths=paths + ([best3[1]] if best3 else []))]
-        residual = universe - set().union(*(set(p) for p in phases[0].paths))
+        phases = [
+            SeparatorPhase(paths=self._paths(local, paths + ([best3] if best3 else [])))
+        ]
+        residual = universe - phases[0].vertices()
         tail = GreedyPeelingEngine(seed=rng.getrandbits(32)).find_separator(
             graph, within=residual
         )
@@ -430,15 +806,17 @@ class FundamentalCycleEngine(SeparatorEngine):
         return separator
 
     @staticmethod
-    def _nontree_edges(
-        graph: Graph, tree: ShortestPathTree, comp: AbstractSet[Vertex]
-    ) -> List[Tuple[Vertex, Vertex]]:
+    def _paths(local: _Local, paths: List[List[int]]) -> List[List[Vertex]]:
+        return [local.vertices(path) for path in paths]
+
+    @staticmethod
+    def _nontree_edges(local: _Local, tree: _Tree, comp: List[int]):
+        # comp is a whole component, so every neighbour is inside it.
+        parent = tree.parent
         out = []
-        for u in sorted(comp, key=_stable_key):
-            for v in graph.neighbors(u):
-                if v not in comp or _stable_key(v) <= _stable_key(u):
-                    continue
-                if tree.parent.get(u) == v or tree.parent.get(v) == u:
+        for u in comp:
+            for v in local.adj[u]:
+                if v <= u or parent.get(u) == v or parent.get(v) == u:
                     continue
                 out.append((u, v))
         return out
@@ -469,39 +847,32 @@ class StrongGreedyEngine(SeparatorEngine):
         self, graph: Graph, within: Optional[AbstractSet[Vertex]] = None
     ) -> PathSeparator:
         metrics.inc("engine.calls", engine="strong")
-        universe = _universe(graph, within)
-        rng = _component_rng(self._base_seed, "strong", universe)
-        half = len(universe) / 2
+        local = _Local(_scope(graph), _universe(graph, within))
+        rng = _component_rng(self._base_seed, "strong", local)
+        n = len(local)
+        half = n / 2
+        alive = bytearray(b"\x01") * n
+        # Trees span the ORIGINAL induced graph so root paths are
+        # shortest in it; only the scoring sees the removed paths.
+        universe = _Region(local, list(range(n)))
         paths: List[List[Vertex]] = []
-        removed: Set[Vertex] = set()
-        while True:
-            comps = connected_components(graph, within=universe - removed)
-            if not comps or len(comps[0]) <= half:
-                break
+        comp = _heavy_component(local.adj, range(n), alive, half)
+        while comp is not None:
             if self.max_paths is not None and len(paths) >= self.max_paths:
                 raise GraphError(
                     f"StrongGreedyEngine exceeded max_paths={self.max_paths}"
                 )
-            comp = comps[0]
-            # Root anywhere in the stuck component, but the tree spans
-            # the ORIGINAL induced graph so root paths are shortest in it.
-            pool = sorted(comp, key=_stable_key)
-            root = pool[rng.randrange(len(pool))]
-            tree = _traced_dijkstra_tree(graph, root, allowed=universe)
-            candidates = _path_candidates(tree, comp, self.num_candidates, rng)
+            tree = universe.tree(comp[rng.randrange(len(comp))])
+            candidates = _path_candidates(tree, set(comp), self.num_candidates, rng)
             metrics.inc("engine.candidates_evaluated", len(candidates))
-            best_path: Optional[List[Vertex]] = None
-            best_score: Optional[Tuple[int, int]] = None
-            for x in candidates:
-                path = tree.path_to(x)
-                rest = universe - removed - set(path)
-                score = (_largest_within(graph, rest), len(path))
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_path = path
-            assert best_path is not None
-            paths.append(best_path)
-            removed.update(best_path)
+            cand_paths = [tree.path_to(x) for x in candidates]
+            residual = [v for v in range(n) if alive[v]]
+            scores = _heaviest_after_removal(local.adj, residual, cand_paths)
+            best = cand_paths[_first_best(scores, cand_paths)]
+            paths.append(local.vertices(best))
+            for v in best:
+                alive[v] = 0
+            comp = _heavy_component(local.adj, comp, alive, half)
         if not paths:
             return PathSeparator()
         return PathSeparator(phases=[SeparatorPhase(paths=paths)])
@@ -523,8 +894,6 @@ def auto_engine(
         comps = connected_components(graph)
         if sum(len(c) for c in comps) - len(comps) == m:
             return TreeCentroidEngine()
-    order = min_degree_order(graph)
-    width = decomposition_from_elimination(graph, order).width
-    if width <= treewidth_threshold:
+    if min_degree_width(graph) <= treewidth_threshold:
         return CenterBagEngine(order="min_degree")
     return GreedyPeelingEngine(seed=seed)

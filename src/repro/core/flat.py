@@ -74,6 +74,7 @@ __all__ = [
     "flat_estimate",
     "flat_phase_distance_maps",
     "flat_unit_entries",
+    "induced_csr",
 ]
 
 
@@ -479,6 +480,41 @@ class FlatBuildContext:
         self._g2l = _np.full(self.csr.num_vertices, -1, dtype=_np.int64)
 
 
+def induced_csr(csr: CSRGraph, g2l, allowed) -> _csr_matrix:
+    """The sub-CSR of *csr* induced by the global indices *allowed*:
+    row and column ``i`` stand for ``allowed[i]``, and each row keeps
+    its arcs in *csr*'s order.
+
+    *g2l* is a length-n int64 scratch that is all ``-1`` on entry and
+    is left that way; callers own one per build, because allocating an
+    O(n) map per call would make small subsets quadratic in aggregate.
+    """
+    np = _np
+    m = len(allowed)
+    g2l[allowed] = np.arange(m, dtype=np.int64)
+    try:
+        starts = csr.indptr[allowed]
+        counts = csr.indptr[allowed + 1] - starts
+        total = int(counts.sum())
+        # Gather the concatenated neighborhoods of the allowed vertices:
+        # position k of the gather belongs to row `row_ids[k]` and reads
+        # the row's `k - row_start`-th arc.
+        row_ids = np.repeat(np.arange(m, dtype=np.int64), counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        gather = np.repeat(starts, counts) + within
+        cols_local = g2l[csr.indices[gather]]
+    finally:
+        g2l[allowed] = -1
+    keep = cols_local >= 0
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids[keep], minlength=m), out=indptr[1:])
+    return _csr_matrix(
+        (csr.weights[gather][keep], cols_local[keep], indptr), shape=(m, m)
+    )
+
+
 def _induced_distances(ctx: FlatBuildContext, src_idx, allowed):
     """Multi-source Dijkstra distances inside the induced subgraph.
 
@@ -491,31 +527,8 @@ def _induced_distances(ctx: FlatBuildContext, src_idx, allowed):
     Dijkstra's float distances are a unique fixed point under positive
     weights.
     """
-    csr = ctx.csr
-    m = len(allowed)
-    g2l = ctx._g2l
-    g2l[allowed] = _np.arange(m, dtype=_np.int64)
-    try:
-        starts = csr.indptr[allowed]
-        counts = csr.indptr[allowed + 1] - starts
-        total = int(counts.sum())
-        # Gather the concatenated neighborhoods of the allowed vertices:
-        # position k of the gather belongs to row `row_ids[k]` and reads
-        # the row's `k - row_start`-th arc.
-        row_ids = _np.repeat(_np.arange(m, dtype=_np.int64), counts)
-        within = _np.arange(total, dtype=_np.int64) - _np.repeat(
-            _np.cumsum(counts) - counts, counts
-        )
-        gather = _np.repeat(starts, counts) + within
-        cols_local = g2l[csr.indices[gather]]
-        keep = cols_local >= 0
-        sub = _csr_matrix(
-            (csr.weights[gather][keep], (row_ids[keep], cols_local[keep])),
-            shape=(m, m),
-        )
-        sources = g2l[src_idx]
-    finally:
-        g2l[allowed] = -1
+    sub = induced_csr(ctx.csr, ctx._g2l, allowed)
+    sources = _np.searchsorted(allowed, src_idx)
     return _csgraph_dijkstra(sub, directed=True, indices=sources)
 
 

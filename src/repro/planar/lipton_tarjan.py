@@ -18,8 +18,9 @@ Implementation notes:
 * interior weights from the dual tree are used to *rank* candidate
   edges (each real vertex is charged to one incident triangle, so the
   ranking is exact up to boundary vertices); the top candidates are
-  then re-scored exactly by component flood-fill, keeping the choice
-  deterministic and correct.
+  then re-scored exactly by the largest component they leave
+  (:func:`~repro.core.engines.largest_after_removal`), keeping the
+  choice deterministic and correct.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from __future__ import annotations
 from collections import deque
 from typing import AbstractSet, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.core.engines import TreeCentroidEngine, approx_center
+from repro.core.engines import TreeCentroidEngine, approx_center, largest_after_removal
 from repro.core.separator import PathSeparator, SeparatorPhase
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
 from repro.graphs.ops import induced_subgraph
-from repro.graphs.shortest_paths import dijkstra_tree
+from repro.graphs.shortest_paths import ShortestPathTree, dijkstra_tree
 from repro.planar.rotation import NotPlanarError, embed_planar
 from repro.planar.triangulate import star_triangulate
 from repro.util.errors import GraphError
@@ -41,18 +42,18 @@ Vertex = Hashable
 UEdge = FrozenSet[Vertex]
 
 
-def balanced_fundamental_cycle(
+def cycle_candidates(
     graph: Graph,
     within: Optional[AbstractSet[Vertex]] = None,
     top_candidates: int = 12,
-) -> List[List[Vertex]]:
-    """The most balanced fundamental cycle of the largest component.
+) -> Tuple[List[Tuple[Vertex, Vertex]], set, ShortestPathTree]:
+    """The non-tree edges whose fundamental cycles come closest to
+    halving the largest component of ``graph[within]`` by dual-tree
+    interior weight, best first, at most *top_candidates* of them;
+    with that component and its shortest-path tree.
 
-    Returns the cycle as two root paths of a shortest-path tree (each
-    a minimum-cost path of ``graph[within]``), chosen via dual-tree
-    interior weights.  Raises :class:`NotPlanarError` when the
-    component is not planar and :class:`GraphError` when it is a tree
-    (no cycle exists — callers should use a centroid instead).
+    Raises :class:`NotPlanarError` when the component is not planar and
+    :class:`GraphError` when it is a tree.
     """
     universe = set(within) if within is not None else set(graph.vertices())
     comps = connected_components(graph, within=universe)
@@ -125,19 +126,27 @@ def balanced_fundamental_cycle(
         )
     candidates.sort(key=lambda item: (item[0], sorted(map(repr, item[1]))))
 
-    best_paths: Optional[List[List[Vertex]]] = None
-    best_score: Optional[int] = None
-    for _, edge in candidates[:top_candidates]:
-        u, v = tuple(edge)
-        pu, pv = tree.path_to(u), tree.path_to(v)
-        rest = comp - set(pu) - set(pv)
-        rest_comps = connected_components(graph, within=rest)
-        score = len(rest_comps[0]) if rest_comps else 0
-        if best_score is None or score < best_score:
-            best_score = score
-            best_paths = [pu, pv]
-    assert best_paths is not None
-    return best_paths
+    return [tuple(edge) for _, edge in candidates[:top_candidates]], comp, tree
+
+
+def balanced_fundamental_cycle(
+    graph: Graph,
+    within: Optional[AbstractSet[Vertex]] = None,
+    top_candidates: int = 12,
+) -> List[List[Vertex]]:
+    """A balanced fundamental cycle of the largest component of
+    ``graph[within]``, as its two root paths.
+
+    Returns the cycle as two root paths of a shortest-path tree (each
+    a minimum-cost path of ``graph[within]``), chosen via dual-tree
+    interior weights.  Raises :class:`NotPlanarError` when the
+    component is not planar and :class:`GraphError` when it is a tree
+    (no cycle exists — callers should use a centroid instead).
+    """
+    edges, comp, tree = cycle_candidates(graph, within, top_candidates)
+    pairs = [[tree.path_to(u), tree.path_to(v)] for u, v in edges]
+    scores = largest_after_removal(graph, comp, [pu + pv for pu, pv in pairs])
+    return pairs[min(range(len(pairs)), key=scores.__getitem__)]
 
 
 def _incident(triangle, edge_triangles):

@@ -14,10 +14,11 @@ the vertices; the bag where the walk stops is a center.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable
 
 from repro.graphs.graph import Graph
 from repro.treedecomp.decomposition import TreeDecomposition
+from repro.treedecomp.elimination import center_bag_index
 from repro.util.errors import InvalidDecompositionError
 
 Vertex = Hashable
@@ -30,43 +31,12 @@ def center_bag(graph: Graph, td: TreeDecomposition, root: int = 0) -> int:
     invalid one the balance guarantee is meaningless and this function
     may return a non-center bag (``validate`` first when unsure).
     """
-    n = graph.num_vertices
     if td.num_bags == 0:
         raise InvalidDecompositionError("cannot find a center of an empty decomposition")
-    parent, order = td.rooted(root)
-
-    # top(v): the bag containing v that is closest to the root.  BFS
-    # order guarantees we see each vertex's topmost bag first.
-    assigned_weight = [0] * td.num_bags
-    seen_vertices: Dict[Vertex, bool] = {}
-    for b in order:
-        for v in td.bags[b]:
-            if v not in seen_vertices:
-                seen_vertices[v] = True
-                assigned_weight[b] += 1
-    if len(seen_vertices) != n:
+    ids: Dict[Vertex, int] = {}
+    bags = [[ids.setdefault(v, len(ids)) for v in bag] for bag in td.bags]
+    if len(ids) != graph.num_vertices:
         raise InvalidDecompositionError(
-            "decomposition does not cover every graph vertex"
+            "decomposition does not cover exactly the graph's vertices"
         )
-
-    subtree = list(assigned_weight)
-    for b in reversed(order):
-        p = parent[b]
-        if p is not None:
-            subtree[p] += subtree[b]
-
-    children: List[List[int]] = [[] for _ in range(td.num_bags)]
-    for b, p in enumerate(parent):
-        if p is not None:
-            children[p].append(b)
-
-    current = root
-    while True:
-        heavy: Optional[int] = None
-        for c in children[current]:
-            if subtree[c] > n / 2:
-                heavy = c
-                break
-        if heavy is None:
-            return current
-        current = heavy
+    return center_bag_index(len(ids), bags, td.tree_adj, root)

@@ -9,14 +9,30 @@ generator produces), recovering width exactly k.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Hashable, List, Sequence, Set, Tuple
 
 from repro.graphs.graph import Graph
 from repro.treedecomp.decomposition import TreeDecomposition
+from repro.treedecomp.elimination import (
+    bag_tree,
+    eliminate_in_order,
+    min_degree_elimination,
+    min_fill_elimination,
+    stable_key,
+)
+from repro.treedecomp.elimination import mcs_order as _mcs_order
 from repro.util.errors import GraphError, InvalidDecompositionError
 
 Vertex = Hashable
+
+
+def _int_adjacency(graph: Graph, verts: Sequence[Vertex]) -> List[Set[int]]:
+    ids = {v: i for i, v in enumerate(verts)}
+    return [{ids[u] for u in graph.neighbors(v)} for v in verts]
+
+
+def _stable_vertices(graph: Graph) -> List[Vertex]:
+    return sorted(graph.vertices(), key=stable_key)
 
 
 def min_degree_order(graph: Graph) -> List[Vertex]:
@@ -25,31 +41,9 @@ def min_degree_order(graph: Graph) -> List[Vertex]:
     Elimination connects the vertex's remaining neighbors into a clique,
     as required for the induced decomposition to be valid.
     """
-    adj: Dict[Vertex, Set[Vertex]] = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    heap = [(len(nbrs), _stable_key(v), v) for v, nbrs in adj.items()]
-    heapq.heapify(heap)
-    order: List[Vertex] = []
-    eliminated: Set[Vertex] = set()
-    while heap:
-        deg, _, v = heapq.heappop(heap)
-        if v in eliminated or deg != len(adj[v]):
-            if v not in eliminated:
-                heapq.heappush(heap, (len(adj[v]), _stable_key(v), v))
-            continue
-        order.append(v)
-        eliminated.add(v)
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            adj[u].discard(v)
-        nbr_list = list(nbrs)
-        for i, a in enumerate(nbr_list):
-            for b in nbr_list[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-        for u in nbrs:
-            heapq.heappush(heap, (len(adj[u]), _stable_key(u), u))
-    return order
+    verts = _stable_vertices(graph)
+    order, _ = min_degree_elimination(_int_adjacency(graph, verts))
+    return [verts[i] for i in order]
 
 
 def min_fill_order(graph: Graph) -> List[Vertex]:
@@ -58,37 +52,9 @@ def min_fill_order(graph: Graph) -> List[Vertex]:
     Slower than min-degree (it scans all remaining vertices each step)
     but usually produces lower width; intended for small graphs.
     """
-    adj: Dict[Vertex, Set[Vertex]] = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    order: List[Vertex] = []
-    remaining = set(adj)
-    while remaining:
-        best_v = None
-        best_fill = None
-        for v in remaining:
-            nbrs = adj[v]
-            fill = 0
-            nbr_list = list(nbrs)
-            for i, a in enumerate(nbr_list):
-                for b in nbr_list[i + 1 :]:
-                    if b not in adj[a]:
-                        fill += 1
-            key = (fill, _stable_key(v))
-            if best_fill is None or key < best_fill:
-                best_fill = key
-                best_v = v
-        v = best_v
-        order.append(v)
-        remaining.discard(v)
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            adj[u].discard(v)
-        nbr_list = list(nbrs)
-        for i, a in enumerate(nbr_list):
-            for b in nbr_list[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-    return order
+    verts = _stable_vertices(graph)
+    order, _ = min_fill_elimination(_int_adjacency(graph, verts))
+    return [verts[i] for i in order]
 
 
 def mcs_order(graph: Graph) -> List[Vertex]:
@@ -97,22 +63,8 @@ def mcs_order(graph: Graph) -> List[Vertex]:
     On chordal graphs the result is a perfect elimination order, so the
     induced decomposition has exactly the graph's treewidth.
     """
-    weights: Dict[Vertex, int] = {v: 0 for v in graph.vertices()}
-    visited: Set[Vertex] = set()
-    visit_order: List[Vertex] = []
-    heap = [(0, _stable_key(v), v) for v in graph.vertices()]
-    heapq.heapify(heap)
-    while heap:
-        neg_w, _, v = heapq.heappop(heap)
-        if v in visited or -neg_w != weights[v]:
-            continue
-        visited.add(v)
-        visit_order.append(v)
-        for u in graph.neighbors(v):
-            if u not in visited:
-                weights[u] += 1
-                heapq.heappush(heap, (-weights[u], _stable_key(u), u))
-    return list(reversed(visit_order))
+    verts = _stable_vertices(graph)
+    return [verts[i] for i in _mcs_order(_int_adjacency(graph, verts))]
 
 
 def decomposition_from_elimination(
@@ -125,31 +77,22 @@ def decomposition_from_elimination(
     among those later neighbors.  This is the textbook construction.
     """
     position = {v: i for i, v in enumerate(order)}
-    if len(position) != graph.num_vertices:
+    if len(position) != graph.num_vertices or any(v not in graph for v in position):
         raise GraphError("elimination order must enumerate every vertex exactly once")
-    adj: Dict[Vertex, Set[Vertex]] = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    bags: List[FrozenSet[Vertex]] = []
-    bag_index: Dict[Vertex, int] = {}
-    higher: Dict[Vertex, Set[Vertex]] = {}
-    for v in order:
-        nbrs = {u for u in adj[v] if position[u] > position[v]}
-        higher[v] = nbrs
-        # Fill in: later neighbors become a clique.
-        nbr_list = list(nbrs)
-        for i, a in enumerate(nbr_list):
-            for b in nbr_list[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        bag_index[v] = len(bags)
-        bags.append(frozenset({v} | nbrs))
-    edges: List[Tuple[int, int]] = []
-    for v in order:
-        nbrs = higher[v]
-        if nbrs:
-            parent_vertex = min(nbrs, key=position.__getitem__)
-            edges.append((bag_index[v], bag_index[parent_vertex]))
-    td = TreeDecomposition(bags, edges)
-    return td
+    # Local id = position, so eliminating 0, 1, ... follows *order*.
+    verts = list(position)
+    higher = eliminate_in_order(_int_adjacency(graph, verts), range(len(verts)))
+    bags, edges = bag_tree(range(len(verts)), higher)
+    return TreeDecomposition(
+        [frozenset(verts[i] for i in bag) for bag in bags], edges
+    )
+
+
+def min_degree_width(graph: Graph) -> int:
+    """Width of the min-degree decomposition, without building its bags."""
+    verts = _stable_vertices(graph)
+    _, higher = min_degree_elimination(_int_adjacency(graph, verts))
+    return max(map(len, higher), default=-1)
 
 
 def min_degree_decomposition(graph: Graph) -> TreeDecomposition:
@@ -196,8 +139,3 @@ def decomposition_from_bags(
     td = TreeDecomposition(bag_list, edges)
     td.validate(graph)
     return td
-
-
-def _stable_key(v) -> str:
-    """Deterministic tiebreak usable across mixed vertex types."""
-    return f"{type(v).__name__}:{v!r}"
