@@ -8,8 +8,11 @@ predictably under misuse and load:
 * **Backpressure** — at most ``max_inflight`` requests execute at
   once, enforced by a semaphore; excess requests queue on their
   connections instead of stampeding the estimate path.
-* **Request timeout** — a single slow request gets a structured
-  ``timeout`` error instead of wedging its connection.
+* **Request timeout** — a handler that awaits gets a structured
+  ``timeout`` error when it overruns ``request_timeout``, instead of
+  wedging its connection.  The built-in ops are synchronous: they never
+  await, so an event-loop deadline cannot preempt them and they run
+  without one.
 * **Graceful drain** — :meth:`shutdown` (wired to SIGTERM/SIGINT by
   the CLI) stops accepting, lets every in-flight request finish and
   flush its response within ``drain_grace`` seconds, then closes the
@@ -30,6 +33,7 @@ registry is disabled.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import time
 from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Tuple
@@ -38,7 +42,7 @@ from repro.core.serialize import encode_label, encode_vertex
 from repro.dynamic.rebuild import DeltaError, delta_from_dict
 from repro.obs import eventlog, metrics, process_rss_bytes, record_span, span
 from repro.obs.timeseries import TimeseriesWriter
-from repro.obs.tracing import Span, tracing_active
+from repro.obs.tracing import NOOP_SPAN, Span, tracing_active
 from repro.serve.faults import FaultInjector, FaultPlan, FaultPlanError
 from repro.serve.protocol import (
     ProtocolError,
@@ -328,66 +332,44 @@ class OracleServer:
         operation, so :meth:`shutdown` cannot close the writer between
         a computed answer and its flush (the BATCH-drain race).
 
-        With a span sink attached the whole unit runs under a
-        ``serve.request`` span that adopts the request's propagated
-        trace context; without one this branch is a single boolean
-        check and the request takes the exact pre-tracing path.
+        The unit runs under a ``serve.request`` root span.  With no span
+        sink attached the root is the shared no-op span; with one it is
+        a real span that adopts the trace context the client sent
+        (joining the client's trace), and the parse cost is replayed
+        underneath as a ``serve.parse`` child.  A request with no (or
+        malformed) trace context still gets a local span tree — it just
+        carries no ids, so the JSONL sink skips it unless asked for all
+        spans.
         """
         self._active += 1
         self._idle.clear()
         try:
+            start_ns = time.monotonic_ns()
+            try:
+                request, parse_exc = parse_request(line), None
+            except ProtocolError as exc:
+                request, parse_exc = None, exc
             if tracing_active():
-                await self._serve_one_traced(line, writer)
+                root = Span(
+                    "serve.request",
+                    context=request.trace if request is not None else None,
+                )
             else:
-                response, op = await self._handle_line(line)
+                root = NOOP_SPAN
+            with root:
+                record_span("serve.parse", time.monotonic_ns() - start_ns)
+                response, op = await self._handle_parsed(request, parse_exc, start_ns)
+                if root is not NOOP_SPAN:
+                    ok = bool(response.get("ok"))
+                    root.set_attribute("op", op)
+                    root.set_attribute("ok", ok)
+                    if not ok:
+                        root.error = response["error"]["code"]
                 await self._write_response(writer, response, op)
         finally:
             self._active -= 1
             if self._active == 0:
                 self._idle.set()
-
-    async def _serve_one_traced(self, line: bytes, writer) -> None:
-        """The traced twin of the :meth:`_serve_one` body.
-
-        Parses first so the root ``serve.request`` span can adopt the
-        trace context the client sent (joining the client's trace);
-        the parse cost itself is replayed underneath as a
-        ``serve.parse`` child.  A request with no (or malformed) trace
-        context still gets a local span tree — it just carries no ids,
-        so the JSONL sink skips it unless asked for all spans.
-        """
-        start_ns = time.monotonic_ns()
-        request, parse_exc = self._parse_line(line)
-        root = Span(
-            "serve.request",
-            context=request.trace if request is not None else None,
-        )
-        with root:
-            record_span("serve.parse", time.monotonic_ns() - start_ns)
-            response, op = await self._handle_parsed(request, parse_exc, start_ns)
-            root.set_attribute("op", op)
-            ok = bool(response.get("ok"))
-            root.set_attribute("ok", ok)
-            if not ok:
-                root.error = response["error"]["code"]
-            await self._write_response(writer, response, op)
-
-    def _parse_line(self, line: bytes):
-        """Parse one line; returns ``(request, None)`` or ``(None, exc)``."""
-        try:
-            return parse_request(line), None
-        except ProtocolError as exc:
-            return None, exc
-
-    async def _handle_line(self, line: bytes) -> Tuple[dict, Optional[str]]:
-        # Parse inline rather than via _parse_line: this is the
-        # telemetry-off hot path and the helper frame is pure cost here.
-        start_ns = time.monotonic_ns()
-        try:
-            request, parse_exc = parse_request(line), None
-        except ProtocolError as exc:
-            request, parse_exc = None, exc
-        return await self._handle_parsed(request, parse_exc, start_ns)
 
     async def _handle_parsed(
         self,
@@ -405,10 +387,24 @@ class OracleServer:
             op = request.op
             if self._draining:
                 raise ProtocolError("draining", "server is shutting down")
-            async with self._inflight_slot():
-                result = await asyncio.wait_for(
-                    self._dispatch(request), self.request_timeout
-                )
+            # Idle tracking lives in _serve_one (which covers the
+            # response write too), not here: releasing when the answer
+            # is merely *computed* let shutdown race an in-flight flush.
+            await self._sema.acquire()
+            self._inflight += 1
+            if self._inflight > self.peak_inflight:
+                self.peak_inflight = self._inflight
+                metrics.gauge_max("serve.inflight_peak", self._inflight)
+            try:
+                result = self._dispatch(request)
+                if inspect.isawaitable(result):
+                    # Only an overriding handler that awaits gets here;
+                    # the built-in ops are synchronous, and an event-loop
+                    # deadline could not preempt them anyway.
+                    result = await asyncio.wait_for(result, self.request_timeout)
+            finally:
+                self._inflight -= 1
+                self._sema.release()
             response = ok_response(req_id, result)
             metrics.inc("serve.requests", op=request.op)
         except ProtocolError as exc:
@@ -454,10 +450,7 @@ class OracleServer:
                 "injected transient fault; safe to retry",
             )
         try:
-            if tracing_active():
-                with span("serve.encode"):
-                    data = encode_response(response)
-            else:
+            with span("serve.encode"):
                 data = encode_response(response)
         except ValueError:
             # A response that cannot be strict-JSON encoded (e.g. an
@@ -501,13 +494,15 @@ class OracleServer:
         metrics.inc("serve.errors", code=code)
         return error_response(req_id, code, message)
 
-    def _inflight_slot(self):
-        return _InflightSlot(self)
-
     # -- dispatch -------------------------------------------------------
-    async def _dispatch(self, request: Request) -> dict:
-        """Answer one parsed request (the test suite's override point
-        for injecting slow handlers)."""
+    def _dispatch(self, request: Request) -> dict:
+        """Answer one parsed request.
+
+        Every built-in op answers synchronously.  This is also the test
+        suite's override point for slow handlers: an override may return
+        an awaitable, which :meth:`_handle_parsed` awaits under the
+        request deadline.
+        """
         if request.op == "HEALTH":
             return self._health()
         if request.op == "STATS":
@@ -553,19 +548,12 @@ class OracleServer:
             ) from None
 
     def _estimate(self, store: ShardedLabelStore, u: Vertex, v: Vertex) -> float:
-        # One flag read up front; span sites below branch on it instead
-        # of entering no-op context managers (three saved frames per
-        # request on the telemetry-off path).
-        traced = tracing_active()
         key = None
         if self.cache.capacity > 0:
             key = (store.name, u, v)
-            if traced:
-                with span("serve.cache") as cache_span:
-                    found = self.cache.get(key)
-                    cache_span.set_attribute("hit", found is not None)
-            else:
+            with span("serve.cache") as cache_span:
                 found = self.cache.get(key)
+                cache_span.set_attribute("hit", found is not None)
             if found is not None:
                 self.counters["cache_hits"] += 1
                 metrics.inc("serve.cache.hit")
@@ -582,13 +570,13 @@ class OracleServer:
                 shard=store.shard_index(u),
             )
         try:
-            if traced:
-                with span("serve.estimate") as est_span:
+            with span("serve.estimate") as est_span:
+                if est_span is not NOOP_SPAN:
+                    # Same guard as above: hash the vertices only for
+                    # a span that records them.
                     est_span.set_attribute("store", store.name)
                     est_span.set_attribute("shard_u", store.shard_index(u))
                     est_span.set_attribute("shard_v", store.shard_index(v))
-                    value = store.estimate(u, v)
-            else:
                 value = store.estimate(u, v)
         except ShardNotOwned as exc:
             raise ProtocolError("stale_map", str(exc)) from None
@@ -894,31 +882,3 @@ class OracleServer:
             "proc.rss_bytes": process_rss_bytes(),
         }
 
-
-class _InflightSlot:
-    """Semaphore guard that also tracks inflight count / peak.
-
-    Idle tracking lives in ``_serve_one`` (which covers the response
-    write too), not here: releasing the slot when the answer is merely
-    *computed* is what let shutdown race an in-flight BATCH flush.
-    """
-
-    __slots__ = ("_server",)
-
-    def __init__(self, server: OracleServer) -> None:
-        self._server = server
-
-    async def __aenter__(self):
-        server = self._server
-        await server._sema.acquire()
-        server._inflight += 1
-        if server._inflight > server.peak_inflight:
-            server.peak_inflight = server._inflight
-            metrics.gauge_max("serve.inflight_peak", server._inflight)
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb):
-        server = self._server
-        server._inflight -= 1
-        server._sema.release()
-        return False

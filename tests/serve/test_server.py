@@ -180,7 +180,7 @@ class TestErrorHandling:
         class SlowServer(OracleServer):
             async def _dispatch(self, request):
                 await asyncio.sleep(0.5)
-                return await super()._dispatch(request)
+                return super()._dispatch(request)
 
         async def main():
             server = SlowServer(catalog, port=0, request_timeout=0.05)
@@ -273,7 +273,7 @@ class TestBackpressure:
         class SlowServer(OracleServer):
             async def _dispatch(self, request):
                 await asyncio.sleep(0.03)
-                return await super()._dispatch(request)
+                return super()._dispatch(request)
 
         async def main():
             server = SlowServer(catalog, port=0, max_inflight=2)
@@ -301,7 +301,7 @@ class TestGracefulShutdown:
             async def _dispatch(self, request):
                 self.entered.set()
                 await asyncio.sleep(0.2)
-                return await super()._dispatch(request)
+                return super()._dispatch(request)
 
         async def main():
             server = SlowServer(catalog, port=0, drain_grace=5.0)
