@@ -2,7 +2,8 @@
 
 The PR-1 invariant says telemetry is free when off: with no span sink
 attached, the metrics registry disabled, and no event-log sink, every
-instrumentation point in the request path is one boolean check.  This
+span site in the request path enters one shared no-op span and every
+metric or event point is one boolean check.  This
 bench holds the serving stack to that claim on the E13 workload
 (closed-loop DIST over a delaunay labeling) by **interleaving** rounds:
 
@@ -143,8 +144,8 @@ def test_e15_bench_obs_overhead(record_table, tmp_path):
         },
     )
     # The off path must be within run-to-run noise of the full-blast
-    # path's *floor*: if one boolean per instrumentation point cost
-    # real throughput, off would not beat on at all.  (Comparing the
+    # path's *floor*: if the no-op instrumentation points cost real
+    # throughput, off would not beat on at all.  (Comparing the
     # off path against the *pre-PR commit* cannot be done from inside
     # one checkout; the committed BENCH_obs_overhead.json records that
     # paired A/B — alternating subprocess rounds of pre-PR worktree vs

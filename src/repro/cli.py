@@ -1639,7 +1639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-inflight", type=int, default=64, metavar="M",
                    help="max requests executing at once (backpressure)")
     p.add_argument("--timeout", type=float, default=30.0,
-                   help="per-request deadline in seconds")
+                   help="per-request deadline in seconds for handlers that "
+                   "await (the built-in ops are synchronous)")
     p.add_argument("--drain-grace", type=float, default=10.0,
                    help="seconds to let inflight requests finish on shutdown")
     p.add_argument("--fault-plan", metavar="PATH",
