@@ -77,6 +77,7 @@ from repro.core.serialize import (
     canonical_vertex,
     shard_key_bytes,
 )
+from repro.util.collector import collector_step
 from repro.util.sizing import PORTAL_ENTRY_WORDS
 
 Vertex = Hashable
@@ -356,23 +357,24 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
     shard_words = [0] * num_shards
     # (shard, crc32, key bytes, record id) per label, for the index.
     index_rows: List[Tuple[int, int, bytes, int]] = []
-    for record_id, label in enumerate(labels):
-        canon = canonical_vertex(label.vertex)
-        if canon in seen:
-            raise SerializationError(
-                f"duplicate label for vertex {label.vertex!r}"
-            )
-        seen[canon] = record_id
-        record = encode_label_binary(label)
-        records.append(record)
-        offsets.append(offsets[-1] + len(record))
-        key = shard_key_bytes(canon)
-        crc = zlib.crc32(key)
-        shard = crc % num_shards
-        words = _label_words(label)
-        total_words += words
-        shard_words[shard] += words
-        index_rows.append((shard, crc, key, record_id))
+    with collector_step():
+        for record_id, label in enumerate(labels):
+            canon = canonical_vertex(label.vertex)
+            if canon in seen:
+                raise SerializationError(
+                    f"duplicate label for vertex {label.vertex!r}"
+                )
+            seen[canon] = record_id
+            record = encode_label_binary(label)
+            records.append(record)
+            offsets.append(offsets[-1] + len(record))
+            key = shard_key_bytes(canon)
+            crc = zlib.crc32(key)
+            shard = crc % num_shards
+            words = _label_words(label)
+            total_words += words
+            shard_words[shard] += words
+            index_rows.append((shard, crc, key, record_id))
 
     index_rows.sort(key=lambda row: (row[0], row[1], row[2]))
     bounds = [0] * (num_shards + 1)

@@ -32,7 +32,8 @@ vertices run on scipy over an induced sub-CSR.  A scipy tree is used
 only when every reached vertex has exactly one tight in-arc, so its
 parents are the only possible ones and equal
 :func:`~repro.graphs.shortest_paths.dijkstra`'s; otherwise (integer
-weights on grids, say) the tree comes from ``dijkstra``.  Inside
+weights on grids, say) the tree comes from ``dijkstra``, and so does
+every later tree of the same scope.  Inside
 :func:`~repro.core.decomposition.build_decomposition` every call shares
 one :func:`build_scope`: the stable-key ranks and the CSR view are
 made once per build and dropped with it.  ``tests/reference_engines.py``
@@ -83,10 +84,11 @@ class SeparatorEngine(ABC):
 
 class _Scope:
     """What every engine call on one graph can share: each vertex's
-    stable-key rank and key bytes, and (on first use) the CSR view the
-    scipy trees gather their sub-CSRs from."""
+    stable-key rank and key bytes, (on first use) the CSR view the
+    scipy trees gather their sub-CSRs from, and whether a scipy tree
+    has already met tied parents (``tied``)."""
 
-    __slots__ = ("graph", "rank", "keys", "_csr")
+    __slots__ = ("graph", "rank", "keys", "_csr", "tied")
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -94,6 +96,7 @@ class _Scope:
         self.rank = {v: r for r, v in enumerate(sorted(keys, key=keys.__getitem__))}
         self.keys = keys
         self._csr = None
+        self.tied = False
 
     def ordered(self, vertices: Iterable[Vertex]) -> List[Vertex]:
         return sorted(vertices, key=self.rank.__getitem__)
@@ -419,12 +422,19 @@ class _Region:
         return {ids[v]: d for v, d in dist.items()}
 
     def tree(self, root: int) -> _Tree:
-        """The shortest-path tree :func:`dijkstra` grows from *root*."""
+        """The shortest-path tree :func:`dijkstra` grows from *root*.
+
+        Once one scipy tree of the scope has tied parents, later trees
+        go straight to ``dijkstra``: ties come from the weights (unit
+        grids, say), so the next tree would almost surely be thrown
+        away too."""
         metrics.inc("engine.dijkstra_trees")
-        if self._scipy_sized():
+        scope = self.local.scope
+        if self._scipy_sized() and not scope.tied:
             dist, parent = self._scipy(root, parents=True)
             if parent is not None:
                 return _Tree(dist, parent)
+            scope.tied = True
         ids = self.local.ids
         dist, parent = self._dijkstra(root)
         return _Tree(

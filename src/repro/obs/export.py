@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import subprocess
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -31,8 +32,11 @@ _git_sha_cache: Dict[Optional[str], str] = {}
 
 
 def git_sha(cwd: Optional[str] = None) -> str:
-    """Current git commit SHA, or ``"unknown"`` outside a checkout.
+    """HEAD's SHA of the checkout holding the ``repro`` package (of
+    *cwd* when given), or ``"unknown"`` outside a checkout.
 
+    The default follows the program, not the caller's working
+    directory, so a bench run from anywhere stamps the code it ran.
     Cached per ``(process, cwd)``: the first call shells out, every
     later call is a dict hit.
     """
@@ -41,7 +45,7 @@ def git_sha(cwd: Optional[str] = None) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
+            cwd=cwd if cwd is not None else Path(__file__).resolve().parent.parent,
             capture_output=True,
             text=True,
             timeout=10,
