@@ -5,9 +5,10 @@ kernels, just faster"; the differential wall proves the first half,
 this bench quantifies (and gates) the second on the E3/E4 workload
 family (random Delaunay triangulations, eps = 0.25):
 
-* construction — ``build_labeling`` wall-clock against the all-dict
-  reference build (``flat.SMALL_RESIDUAL`` raised above n, so every
-  unit runs ``_unit_entries``), with the byte-identity of the dumped
+* construction — ``build_labeling`` wall-clock against the dict
+  reference build (``tests/reference_labeling.py``: every unit as
+  ``(vertex, key, portals)`` triples from ``batched_dijkstra``, merged
+  into ``VertexLabel`` dicts), with the byte-identity of the dumped
   labeling re-asserted at every size; the flat core must win by
   **>= 5x at the largest size**;
 * scaling — least-squares log-log fit of build seconds vs n per
@@ -38,7 +39,6 @@ import zlib
 from pathlib import Path
 
 from repro.core import build_decomposition, build_labeling
-from repro.core import flat as flat_core
 from repro.core.labeling import estimate_distance
 from repro.core.serialize import dump_labeling, load_labeling
 from repro.generators import random_delaunay_graph
@@ -46,6 +46,7 @@ from repro.obs.export import write_bench_json
 from repro.serve.store import ShardedLabelStore, shard_key
 from repro.serve.loadgen import synthesize_pairs
 from repro.util import format_table
+from tests.reference_labeling import reference_build_labeling
 
 SIZES = [256, 512, 1024, 2048]
 EPS = 0.25
@@ -74,13 +75,8 @@ def _fit_exponent(ns, seconds):
 
 
 def build_reference(graph, tree):
-    """The all-dict reference build: every residual is "small"."""
-    saved = flat_core.SMALL_RESIDUAL
-    flat_core.SMALL_RESIDUAL = graph.num_vertices + 1
-    try:
-        return build_labeling(graph, tree, epsilon=EPS)
-    finally:
-        flat_core.SMALL_RESIDUAL = saved
+    """The dict reference build."""
+    return reference_build_labeling(graph, tree, epsilon=EPS)
 
 
 def run_construction():

@@ -750,6 +750,7 @@ def cmd_update(args) -> int:
     and writing the updated labels (``--out``).  ``--verify`` rebuilds
     from scratch at the end and requires byte-identical labels.
     """
+    from repro.core.flat import FlatLabel
     from repro.core.labeling import DistanceLabeling
     from repro.dynamic import (
         EdgeUpdate,
@@ -763,7 +764,12 @@ def cmd_update(args) -> int:
     graph = read_edge_list(args.graph)
     tree = build_decomposition(graph, engine=_engine_for(args, graph))
     remote = load_labeling(args.labels)
-    labeling = DistanceLabeling(graph, tree, remote.epsilon, dict(remote.labels))
+    labeling = DistanceLabeling(
+        graph,
+        tree,
+        remote.epsilon,
+        {v: FlatLabel.from_label(label) for v, label in remote.labels.items()},
+    )
     journal_path = Path(args.journal)
     if journal_path.exists() and journal_path.stat().st_size > 0:
         read = read_journal(journal_path)

@@ -36,7 +36,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.shortest_paths import batched_dijkstra
 from repro.graphs.validation import require_connected
 from repro.obs import metrics, span
-from repro.util.collector import collector_step
 from repro.util.errors import InvalidDecompositionError
 
 Vertex = Hashable
@@ -332,7 +331,7 @@ def build_decomposition(
         "decomposition.build",
         n=graph.num_vertices,
         engine=type(engine).__name__,
-    ), collector_step(), build_scope(graph):
+    ), build_scope(graph):
         pending: List[Tuple[FrozenSet[Vertex], Optional[int], int]] = [
             (frozenset(graph.vertices()), None, 0)
         ]

@@ -103,7 +103,7 @@ class TestClusterViewDelta:
                 except ShardNotOwned:
                     continue
                 holders += 1
-                assert served.entries == label.entries
+                assert served.entries == label.entries()
             assert holders == 2  # replication
 
     def test_epoch_sequence_is_per_view(self, remote_labels):

@@ -1,17 +1,19 @@
 """Differential test wall: every production path equals the dict reference.
 
-The reference is the all-dict labeling.  Raising
-``repro.core.flat.SMALL_RESIDUAL`` above n routes every unit of a build
-(and of an incremental relabel) through the dict kernels
-(``_unit_entries``, ``batched_dijkstra``), and ``estimate_distance``
-combines the resulting ``VertexLabel`` objects.  Against that reference,
-byte for byte:
+The reference is the dict build of ``tests/reference_labeling.py``:
+every unit through ``batched_dijkstra`` and ``epsilon_cover_portals_at``
+as ``(vertex, key, portals)`` triples, merged into one ``VertexLabel``
+dict per vertex, and combined by ``estimate_distance``.  An update is
+applied to it by a from-scratch rebuild.  Against that reference, byte
+for byte:
 
 * construction — the production build's ``dump_labeling`` JSON text
   and packed ``/2`` blob, across **all five separator engines**, serial
   and parallel;
 * estimates — ``flat_estimate`` over the production labels, on every
   pair;
+* deltas — each production delta, replayed onto the reference's labels
+  from before the update, gives the rebuilt reference labels;
 * serving — DIST and BATCH reply *lines* of a server over the one
   store (JSON codec, mmap'd binary codec, and a cluster node's view
   over shard packs) must equal lines encoded from the reference
@@ -22,7 +24,6 @@ here can skip.
 """
 
 import asyncio
-import contextlib
 import copy
 import json
 import random
@@ -33,7 +34,6 @@ from repro.cluster.files import split_labels
 from repro.cluster.map import ClusterMap, ClusterNodeState, store_name_for_shard
 from repro.core import (
     CenterBagEngine,
-    FlatLabel,
     GreedyPeelingEngine,
     StrongGreedyEngine,
     TreeCentroidEngine,
@@ -46,8 +46,8 @@ from repro.core import (
 from repro.core import flat as flat_core
 from repro.core.binfmt import pack_labeling
 from repro.core.labeling import estimate_distance
-from repro.dynamic import incremental_relabel
-from repro.dynamic.rebuild import delta_to_dict
+from repro.dynamic import apply_delta_to_labels, incremental_relabel
+from repro.dynamic.rebuild import delta_from_dict, delta_to_dict
 from repro.generators import (
     grid_2d,
     k_tree,
@@ -62,6 +62,7 @@ from repro.serve.protocol import encode_response, estimate_field, ok_response
 
 from tests.dynamic.test_rebuild import random_reweight
 from tests.serve.conftest import rpc
+from tests.reference_labeling import reference_build_labeling, reference_relabel
 from tests.serve.test_server import wire
 
 # One graph family per engine, matched to what the engine is for:
@@ -99,17 +100,8 @@ ENGINE_CASES = [
 EPSILON = 0.25
 
 
-@contextlib.contextmanager
-def reference_kernels():
-    """Route every build and incremental unit through the dict kernels."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flat_core, "SMALL_RESIDUAL", 1 << 62)
-        yield
-
-
 def reference_labeling(graph, tree, epsilon=EPSILON):
-    with reference_kernels():
-        return build_labeling(graph, tree, epsilon=epsilon)
+    return reference_build_labeling(graph, tree, epsilon=epsilon)
 
 
 def _build_pair(make_graph, make_engine, epsilon=EPSILON):
@@ -192,14 +184,19 @@ def catalog_of(store):
 def updates_in_lockstep(prod, ref, count, seed):
     """Apply *count* random reweights to both labelings; yields the
     production delta (epoch-stamped) after each one, having checked
-    that the reference relabel produced the same delta."""
+    that it turns the reference's old labels into its rebuilt ones."""
     rng = random.Random(seed)
     for epoch in range(1, count + 1):
         update = random_reweight(rng, prod.graph)
         delta = incremental_relabel(prod, update)
-        with reference_kernels():
-            ref_delta = incremental_relabel(ref, update)
-        assert delta_to_dict(delta) == delta_to_dict(ref_delta)
+        replayed = reference_relabel(ref, update)
+        apply_delta_to_labels(replayed, delta_from_dict(delta_to_dict(delta)))
+        assert list(replayed) == list(ref.labels)
+        for v, label in ref.labels.items():
+            assert list(replayed[v].entries.items()) == list(
+                label.entries.items()
+            ), v
+        assert dump_labeling(prod) == dump_labeling(ref)
         delta.epoch = epoch
         yield delta
 
@@ -266,7 +263,7 @@ class TestConstructionByteIdentity:
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
     def test_estimates_bit_equal_on_all_pairs(self, make_graph, make_engine):
         graph, _, ref, prod = _build_pair(make_graph, make_engine)
-        flats = {v: FlatLabel.from_label(lab) for v, lab in prod.labels.items()}
+        flats = prod.labels
         verts = sorted(graph.vertices(), key=repr)
         for u in verts:
             for v in verts:

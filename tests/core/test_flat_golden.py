@@ -2,9 +2,9 @@
 
 ``tests/data/golden_n64.labels.json`` and ``.bin`` were produced once
 by the recipe in :func:`golden_recipe` (Delaunay, n=64, seed=77,
-epsilon=0.25) with the dict reference kernels and committed.  The
-reference build (``[dict]``: ``flat.SMALL_RESIDUAL`` raised above n, so
-every unit runs the dict kernel) and the production build (``[flat]``)
+epsilon=0.25) with the dict reference build and committed.  The
+reference build (``[dict]``: ``tests/reference_labeling.py``, one
+``VertexLabel`` dict per vertex) and the production build (``[flat]``)
 must, on every future revision, rebuild those files **byte-for-byte**
 — any drift in separator choice, portal selection, float arithmetic,
 serialization order, or the ``/2`` record layout fails here first,
@@ -12,7 +12,7 @@ with a diff against a known-good artifact.
 
 To regenerate after an *intentional* format change::
 
-    PYTHONPATH=src python tests/core/test_flat_golden.py
+    PYTHONPATH=src:. python tests/core/test_flat_golden.py
 
 and commit the rewritten fixtures together with the change that
 justified them.
@@ -29,12 +29,12 @@ from repro.core import (
     dump_labeling,
     load_labeling,
 )
-from repro.core import flat as flat_core
 from repro.core.binfmt import BinaryLabelReader
 from repro.core.flat import flat_estimate
 from repro.core.labeling import estimate_distance
 from repro.generators import random_delaunay_graph
 from repro.serve import ShardedLabelStore
+from tests.reference_labeling import reference_build_labeling
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN_JSON = DATA / "golden_n64.labels.json"
@@ -47,27 +47,23 @@ def golden_recipe():
     return graph, tree
 
 
-def use_reference_kernels(mp):
-    """Route every unit of later builds through the dict kernels."""
-    mp.setattr(flat_core, "SMALL_RESIDUAL", 1 << 62)
-
-
 @pytest.fixture(params=["dict", "flat"])
-def kernels(request, monkeypatch):
-    if request.param == "dict":
-        use_reference_kernels(monkeypatch)
-    return request.param
+def build(request):
+    """The reference build or the production build."""
+    return {"dict": reference_build_labeling, "flat": build_labeling}[
+        request.param
+    ]
 
 
 class TestGoldenReproduction:
-    def test_json_codec_byte_for_byte(self, kernels):
+    def test_json_codec_byte_for_byte(self, build):
         graph, tree = golden_recipe()
-        labeling = build_labeling(graph, tree, epsilon=0.25)
+        labeling = build(graph, tree, epsilon=0.25)
         assert dump_labeling(labeling) == GOLDEN_JSON.read_text()
 
-    def test_binary_codec_byte_for_byte(self, kernels, tmp_path):
+    def test_binary_codec_byte_for_byte(self, build, tmp_path):
         graph, tree = golden_recipe()
-        labeling = build_labeling(graph, tree, epsilon=0.25)
+        labeling = build(graph, tree, epsilon=0.25)
         out = tmp_path / "labels.bin"
         dump_labeling(labeling, out, codec="binary", num_shards=4)
         assert out.read_bytes() == GOLDEN_BIN.read_bytes()
@@ -113,8 +109,10 @@ class TestGoldenBinaryRecords:
 
         with BinaryLabelReader(GOLDEN_BIN) as reader:
             n = 0
-            for v in reader.iter_vertices():
+            for record_id, v in enumerate(reader.iter_vertices()):
                 flat = reader.get_flat(v)
+                record = bytes(reader._buf[slice(*reader._record_span(record_id))])
+                assert encode_label_binary(flat) == record
                 assert encode_label_binary(flat.to_label()) == (
                     encode_label_binary(reader.get(v))
                 )
@@ -124,9 +122,7 @@ class TestGoldenBinaryRecords:
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     graph, tree = golden_recipe()
-    with pytest.MonkeyPatch.context() as mp:
-        use_reference_kernels(mp)
-        labeling = build_labeling(graph, tree, epsilon=0.25)
+    labeling = reference_build_labeling(graph, tree, epsilon=0.25)
     GOLDEN_JSON.write_text(dump_labeling(labeling))
     dump_labeling(labeling, GOLDEN_BIN, codec="binary", num_shards=4)
     print(f"rewrote {GOLDEN_JSON} and {GOLDEN_BIN}")

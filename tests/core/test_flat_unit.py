@@ -3,8 +3,8 @@
 Covers what the differential wall cannot: the canonical-vertex rule on
 ``CSRGraph`` (the PR 7 shard-key regression, now at the index layer),
 path-key encoding bounds, the small-residual dispatch, the construction
-kernel's source validation, the big-endian decode fallback in
-``binfmt``, and the per-key merge state ``FlatLabel`` builds on first
+kernel's source validation, the big-endian fallbacks of the ``/2``
+decoder and writer, and the per-key merge state ``FlatLabel`` builds on first
 use — all without a skip in sight.
 """
 
@@ -38,7 +38,7 @@ from repro.core.flat import (
     flat_phase_distance_maps,
     flat_unit_entries,
 )
-from repro.core.labeling import VertexLabel, _unit_entries, estimate_distance
+from repro.core.labeling import VertexLabel, estimate_distance
 from repro.core.serialize import RemoteLabels, load_labeling
 from repro.dynamic.rebuild import (
     EdgeUpdate,
@@ -50,6 +50,11 @@ from repro.graphs import Graph
 from repro.graphs.shortest_paths import batched_dijkstra
 from repro.util.errors import GraphError
 from tests.dynamic.test_rebuild import random_reweight
+from tests.reference_labeling import (
+    reference_build_labeling,
+    unit_entries,
+    unit_triples,
+)
 
 
 class TestCanonicalVertexRegression:
@@ -115,8 +120,7 @@ class TestCanonicalVertexRegression:
         # Threshold 0 forces even this 4-vertex graph onto the CSR path.
         monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 0)
         flat = build_labeling(g, tree, epsilon=0.5)
-        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 1 << 62)
-        ref = build_labeling(g, tree, epsilon=0.5)
+        ref = reference_build_labeling(g, tree, epsilon=0.5)
         assert dump_labeling(flat) == dump_labeling(ref)
 
 
@@ -161,8 +165,9 @@ class TestFlatLabelShape:
         g = random_delaunay_graph(48, seed=5)[0]
         tree = build_decomposition(g)
         labeling = build_labeling(g, tree, epsilon=0.25)
-        for lab in labeling.labels.values():
-            fl = FlatLabel.from_label(lab)
+        ref = reference_build_labeling(g, tree, epsilon=0.25)
+        for v, lab in ref.labels.items():
+            fl = labeling.labels[v]
             assert fl.words == lab.words
             assert fl.num_portals == sum(
                 len(p) for p in lab.entries.values()
@@ -213,7 +218,9 @@ class TestLazyMergeState:
     ):
         reader, fresh = _fresh_flat_labels(labeling, tmp_path)
         make = fresh[codec]
-        ref = labeling.labels
+        ref = reference_build_labeling(
+            labeling.graph, labeling.tree, labeling.epsilon
+        ).labels
         vertices = sorted(ref, key=repr)
         rng = random.Random(5)
         pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(300)]
@@ -275,9 +282,12 @@ class TestConstructionKernelEdges:
         ctx = FlatBuildContext(g, tree)
         units = tree.phase_units()
         node_id, phase_idx, residual = units[0]
-        assert flat_unit_entries(
+        arrays, sources = flat_unit_entries(
             ctx, node_id, phase_idx, residual, 0.25
-        ) == _unit_entries(g, tree, node_id, phase_idx, residual, 0.25)
+        )
+        assert (unit_triples(ctx, node_id, phase_idx, arrays), sources) == (
+            unit_entries(g, tree, node_id, phase_idx, residual, 0.25)
+        )
 
     def test_large_residual_matches_dict_kernel(self):
         # The flat kernel walks vertices in CSR-index order, the dict
@@ -291,10 +301,11 @@ class TestConstructionKernelEdges:
         for node_id, phase_idx, residual in tree.phase_units():
             if len(residual) < SMALL_RESIDUAL:
                 continue
-            flat_out, flat_sources = flat_unit_entries(
+            arrays, flat_sources = flat_unit_entries(
                 ctx, node_id, phase_idx, residual, 0.25
             )
-            ref_out, ref_sources = _unit_entries(
+            flat_out = unit_triples(ctx, node_id, phase_idx, arrays)
+            ref_out, ref_sources = unit_entries(
                 g, tree, node_id, phase_idx, residual, 0.25
             )
             assert flat_sources == ref_sources
@@ -320,7 +331,7 @@ class TestConstructionKernelEdges:
             with pytest.raises(GraphError, match="not in the allowed set"):
                 flat_unit_entries(ctx, node_id, phase_idx, broken, 0.25)
             with pytest.raises(GraphError, match="not in the allowed set"):
-                _unit_entries(g, tree, node_id, phase_idx, broken, 0.25)
+                unit_entries(g, tree, node_id, phase_idx, broken, 0.25)
             return
         pytest.fail("no unit large enough to exercise the flat kernel")
 
@@ -350,17 +361,27 @@ class TestBigEndianFallback:
             assert a.keys == b.keys
             assert list(a.offs) == list(b.offs)
             assert a.index == b.index
-            # Header slots are never read; every portal float is
-            # bit-equal.
-            for k in range(len(a.keys)):
-                lo, hi = 2 * a.offs[k] + 2, 2 * a.offs[k + 1]
-                assert a.runs[lo:hi].tobytes() == b.runs[lo:hi].tobytes()
+            # Header slots and portal floats alike are bit-equal.
+            assert a.runs.tobytes() == b.runs.tobytes()
             assert all(
                 math.isfinite(x)
                 for portals in a.entries().values()
                 for pair in portals
                 for x in pair
             )
+
+
+    def test_portable_pack_path_equals_fast_path(self, monkeypatch):
+        # The /2 writer's big-endian branch re-packs portal slots one
+        # by one; on a little-endian host it must write the same bytes
+        # as writing each label's runs verbatim.
+        g = random_delaunay_graph(40, seed=9)[0]
+        labeling = build_labeling(g, build_decomposition(g), epsilon=0.25)
+        fast = pack_labeling(labeling, num_shards=4)
+        import repro.core.binfmt as binfmt
+
+        monkeypatch.setattr(binfmt, "_LITTLE_ENDIAN", False)
+        assert pack_labeling(labeling, num_shards=4) == fast
 
 
 class TestDynamicFlatHelpers:

@@ -56,7 +56,9 @@ class TestLabelCodec:
             original = labeling.label(v)
             recovered = decode_label(encode_label(original))
             assert recovered.vertex == original.vertex
-            assert recovered.entries == original.entries
+            assert recovered.entries == original.entries()
+            # The dict form of the same label encodes identically.
+            assert encode_label(original.to_label()) == encode_label(original)
 
     def test_encoded_label_is_json_safe(self, small_grid):
         labeling = build_labeling(small_grid, build_decomposition(small_grid))

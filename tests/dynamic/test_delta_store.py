@@ -26,7 +26,9 @@ def updated_world(updates=3, seed=21):
         delta = incremental_relabel(labeling, random_reweight(rng, graph))
         delta.epoch = epoch
         deltas.append(delta)
-    remote = RemoteLabels(EPSILON, pristine.labels)
+    remote = RemoteLabels(
+        EPSILON, {v: label.to_label() for v, label in pristine.labels.items()}
+    )
     return remote, labeling, deltas
 
 
@@ -40,7 +42,7 @@ class TestShardedStoreDelta:
         assert store.label_epoch == len(deltas)
         assert store.applied_deltas == len(deltas)
         for v, label in updated.labels.items():
-            assert store.label(v).entries == label.entries
+            assert store.label(v).entries == label.entries()
 
     def test_words_accounting_tracks_shards(self):
         remote, updated, deltas = updated_world()
@@ -91,7 +93,7 @@ class TestMappedStoreDelta:
             store.apply_delta(delta)
         assert store.label_epoch == len(deltas)
         for v, label in updated.labels.items():
-            assert store.label(v).entries == label.entries
+            assert store.label(v).entries == label.entries()
         store.close()
 
     def test_untouched_vertices_still_decode_lazily(self, tmp_path):
@@ -130,7 +132,7 @@ class TestMappedStoreDelta:
             store.label(v)
         store.apply_delta(deltas[0])
         for v, label in updated.labels.items():
-            assert store.label(v).entries == label.entries
+            assert store.label(v).entries == label.entries()
         store.close()
 
 
@@ -159,7 +161,7 @@ class TestDeltaApplyPath:
         store.apply_delta(deltas[0])
         for v, label in before.items():
             assert label.entries == snapshot[v]
-            assert store.label(v).entries == updated.labels[v].entries
+            assert store.label(v).entries == updated.labels[v].entries()
 
     def test_each_touched_label_is_rebuilt_once(self, store, monkeypatch):
         from repro.core.flat import FlatLabel

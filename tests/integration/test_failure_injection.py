@@ -5,10 +5,12 @@ import pytest
 
 from repro.core import (
     CompactRoutingScheme,
+    FlatLabel,
     PathSeparator,
     SeparatorPhase,
     build_decomposition,
     build_labeling,
+    flat_estimate,
 )
 from repro.core.decomposition import DecompositionTree
 from repro.generators import grid_2d
@@ -69,21 +71,18 @@ class TestLabelDegradation:
         pairs = pair_sample(weighted_grid, 30, seed=1)
         for u, v in pairs:
             label_u = labeling.label(u)
-            if len(label_u.entries) > 1:
-                dropped = dict(list(label_u.entries.items())[1:])
-                label_u = type(label_u)(vertex=u, entries=dropped)
-            from repro.core.labeling import estimate_distance
-
-            est = estimate_distance(label_u, labeling.label(v))
+            entries = label_u.entries()
+            if len(entries) > 1:
+                dropped = dict(list(entries.items())[1:])
+                label_u = FlatLabel.from_entries(u, dropped)
+            est = flat_estimate(label_u, labeling.label(v))
             true = dijkstra(weighted_grid, u)[0][v]
             assert est >= true - 1e-9
 
     def test_empty_labels_give_inf_not_garbage(self, small_grid):
-        from repro.core.labeling import VertexLabel, estimate_distance
-
-        empty = VertexLabel(vertex="ghost")
+        empty = FlatLabel.from_entries("ghost", {})
         labeling = build_labeling(small_grid, build_decomposition(small_grid))
-        assert estimate_distance(empty, labeling.label((0, 0))) == float("inf")
+        assert flat_estimate(empty, labeling.label((0, 0))) == float("inf")
 
 
 def _pair_needing_walk(graph, scheme):

@@ -54,7 +54,7 @@ class TestInvalidationSoundness:
         index, factor = update
         graph, tree, labeling = fresh_case(case)
         before = {
-            v: {key: list(entries) for key, entries in label.entries.items()}
+            v: {key: list(entries) for key, entries in label.entries().items()}
             for v, label in labeling.labels.items()
         }
         edge = pick_update(graph, index, factor)
@@ -66,7 +66,7 @@ class TestInvalidationSoundness:
         changed = {
             v
             for v, label in rebuilt.labels.items()
-            if {key: list(e) for key, e in label.entries.items()} != before[v]
+            if {key: list(e) for key, e in label.entries().items()} != before[v]
         }
         assert changed <= predicted
 
@@ -112,4 +112,5 @@ class TestInvalidationSoundness:
             incremental_relabel(labeling, edge)
         rebuilt = build_labeling(graph, tree, epsilon=EPSILON)
         for v, label in rebuilt.labels.items():
-            assert labeling.labels[v].entries == label.entries
+            assert labeling.labels[v].entries() == label.entries()
+            assert labeling.labels[v].runs.tobytes() == label.runs.tobytes()

@@ -8,8 +8,8 @@ triangulations, ``G(n, p)``, preferential attachment):
   and per-vertex ``neighbors`` agrees with the source graph.
 * **Kernel equivalence** — ``flat_estimate`` over the production
   build's ``FlatLabel`` objects is bit-equal to the reference
-  ``estimate_distance`` over the all-dict reference build
-  (``flat.SMALL_RESIDUAL`` raised above n) on every queried pair,
+  ``estimate_distance`` over the dict reference build
+  (``tests/reference_labeling.py``) on every queried pair,
   including unreachable (infinite) answers and labels with no entries
   at all.
 
@@ -19,12 +19,10 @@ are required.
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSRGraph, FlatLabel, build_decomposition, build_labeling, flat_estimate
-from repro.core import flat as flat_core
 from repro.core.labeling import VertexLabel, estimate_distance
 from repro.generators import (
     gnp_random_graph,
@@ -32,6 +30,7 @@ from repro.generators import (
     preferential_attachment_graph,
     random_delaunay_graph,
 )
+from tests.reference_labeling import reference_build_labeling
 
 SLOW = settings(
     max_examples=12,
@@ -109,10 +108,8 @@ class TestCSRRoundTrip:
 
 
 def reference_labeling(graph, tree, epsilon):
-    """The all-dict reference build of *graph* over *tree*."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flat_core, "SMALL_RESIDUAL", 1 << 62)
-        return build_labeling(graph, tree, epsilon=epsilon)
+    """The dict reference build of *graph* over *tree*."""
+    return reference_build_labeling(graph, tree, epsilon=epsilon)
 
 
 class TestKernelEquivalence:
@@ -128,10 +125,7 @@ class TestKernelEquivalence:
         tree = build_decomposition(graph)
         reference = reference_labeling(graph, tree, epsilon)
         labeling = build_labeling(graph, tree, epsilon=epsilon)
-        flats = {
-            v: FlatLabel.from_label(lab)
-            for v, lab in labeling.labels.items()
-        }
+        flats = labeling.labels
         verts = sorted(labeling.labels, key=repr)
         rng = random.Random(pair_seed)
         for _ in range(40):
