@@ -17,6 +17,9 @@ wreck it*, which constrains the design in two ways:
   later and pair with the wrong request), so the connection is closed
   and the retry opens a fresh one.  Responses are matched to requests
   by the echoed ``id``; a mismatch is treated as a transport failure.
+  Each connection carries one request at a time: its reply line
+  resolves one Future, and the attempt deadline is a timer that fails
+  that Future, so an attempt costs no Task of its own.
 * Only errors in :data:`~repro.serve.protocol.TRANSIENT_CODES` (and
   transport failures) are retried.  A ``bad_request`` or
   ``unknown_vertex`` reply is the *answer*, not a failure, and is
@@ -46,7 +49,13 @@ from repro.core.serialize import encode_vertex
 from repro.obs import NOOP_SPAN, current_span, eventlog, metrics, span, tracing_active
 from repro.obs.context import TraceContext, trace_id_for
 from repro.obs.tracing import Span
-from repro.serve.protocol import TRANSIENT_CODES, encode_request, wire_pair
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    TRANSIENT_CODES,
+    LineProtocol,
+    encode_request,
+    wire_pair,
+)
 from repro.util.errors import ReproError
 from repro.util.rng import derive_seed
 
@@ -228,13 +237,78 @@ class CircuitBreaker:
             metrics.inc("client.breaker.opened")
 
 
-class _Connection:
-    __slots__ = ("reader", "writer", "next_id")
+def _timed_out(timeout: float) -> _TransportError:
+    return _TransportError(f"attempt timed out after {timeout}s")
 
-    def __init__(self, reader, writer) -> None:
-        self.reader = reader
-        self.writer = writer
+
+class _Connection(LineProtocol):
+    """One pooled connection: one request at a time, whose reply line
+    resolves :attr:`_reply`.  Any failure is kept in :attr:`failure`,
+    and the owner discards the connection."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        super().__init__()
         self.next_id = 0
+        self.failure: Optional[BaseException] = None
+        self.closed = loop.create_future()
+        self._loop = loop
+        self._reply: Optional[asyncio.Future] = None
+        self._drained: Optional[asyncio.Future] = None
+        self._write_paused = False
+
+    async def request(self, data: bytes, deadline: float, timeout: float) -> bytes:
+        """Send one request line; return its reply line, or raise once
+        the loop clock passes *deadline*."""
+        if self.failure is not None:
+            raise self.failure
+        reply = self._reply = self._loop.create_future()
+        timer = self._loop.call_at(deadline, self._expire, timeout)
+        try:
+            self.transport.write(data)
+            if self._write_paused:
+                self._drained = self._loop.create_future()
+                await self._drained
+            return await reply
+        finally:
+            timer.cancel()
+
+    def _expire(self, timeout: float) -> None:
+        if self._reply is not None:  # a reply already in is not late
+            self._fail(_timed_out(timeout))
+
+    def _fail(self, exc: BaseException) -> None:
+        if self.failure is None:
+            self.failure = exc
+        # Only one of the two is awaited at a time: the drain while
+        # the transport is paused, the reply after it.
+        waiter = self._drained if self._drained is not None else self._reply
+        self._drained = self._reply = None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(exc)
+
+    def lines_received(self, lines, overflow: bool) -> None:
+        for line in lines:
+            reply = self._reply
+            if reply is None or reply.done():
+                self._fail(_TransportError("response desynchronized (unsolicited line)"))
+                return
+            self._reply = None
+            reply.set_result(line)
+        if overflow:
+            self._fail(_TransportError(f"reply line exceeds {MAX_LINE_BYTES} bytes"))
+
+    def connection_lost(self, exc) -> None:
+        self._fail(exc or _TransportError("connection closed by server"))
+        self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        drained, self._drained = self._drained, None
+        if drained is not None and not drained.done():
+            drained.set_result(None)
 
 
 class ResilientClient:
@@ -439,9 +513,14 @@ class ResilientClient:
 
     async def close(self) -> None:
         """Close every pooled connection."""
+        closing = []
         for pool in self._pool.values():
             while pool:
-                await self._discard(pool.pop())
+                conn = pool.pop()
+                conn.transport.close()
+                closing.append(conn.closed)
+        if closing:
+            await asyncio.wait(closing)
 
     def stats(self) -> dict:
         """Counters plus per-address breaker states (JSON-safe)."""
@@ -612,15 +691,7 @@ class ResilientClient:
         metrics.inc("client.attempts")
         try:
             try:
-                response = await asyncio.wait_for(
-                    self._roundtrip(address, payload, context),
-                    self.policy.attempt_timeout,
-                )
-            except asyncio.TimeoutError:
-                breaker.record_failure()
-                raise _TransportError(
-                    f"attempt timed out after {self.policy.attempt_timeout}s"
-                ) from None
+                response = await self._roundtrip(address, payload, context)
             except (ConnectionError, OSError) as exc:
                 breaker.record_failure()
                 raise _TransportError(f"{type(exc).__name__}: {exc}") from None
@@ -662,22 +733,21 @@ class ResilientClient:
     ) -> dict:
         """Borrow a connection, do one request/response, return it.
 
-        Any failure — including cancellation by a timeout or a losing
-        hedge — discards the connection: a late reply on a reused
-        socket would desynchronize the request/response pairing.
+        The attempt deadline covers the connect, the write and the
+        reply.  Any failure — including a timeout or cancellation by a
+        losing hedge — discards the connection: a late reply on a
+        reused socket would desynchronize the request/response pairing.
         """
-        conn = await self._acquire(address)
+        timeout = self.policy.attempt_timeout
+        deadline = asyncio.get_running_loop().time() + timeout
+        conn = await self._acquire(address, deadline, timeout)
         try:
             conn.next_id += 1
             rid = f"r{conn.next_id}.{id(conn) & 0xFFFF:x}"
             request = {**payload, "id": rid}
             if context is not None:
                 request["trace"] = context.to_wire()
-            conn.writer.write(encode_request(request))
-            await conn.writer.drain()
-            line = await conn.reader.readline()
-            if not line:
-                raise _TransportError("connection closed by server")
+            line = await conn.request(encode_request(request), deadline, timeout)
             try:
                 response = json.loads(line)
             except (UnicodeDecodeError, json.JSONDecodeError):
@@ -687,22 +757,24 @@ class ResilientClient:
             if not isinstance(response, dict) or response.get("id") != rid:
                 raise _TransportError("response desynchronized (wrong id)")
         except BaseException:
-            await self._discard(conn)
+            conn.transport.close()
             raise
         self._pool[address].append(conn)
         return response
 
-    async def _acquire(self, address: Address) -> _Connection:
+    async def _acquire(
+        self, address: Address, deadline: float, timeout: float
+    ) -> _Connection:
         pool = self._pool[address]
         if pool:
             return pool.pop()
-        reader, writer = await asyncio.open_connection(*address)
-        metrics.inc("client.connections")
-        return _Connection(reader, writer)
-
-    async def _discard(self, conn: _Connection) -> None:
-        conn.writer.close()
+        loop = asyncio.get_running_loop()
         try:
-            await conn.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            _, conn = await asyncio.wait_for(
+                loop.create_connection(lambda: _Connection(loop), *address),
+                deadline - loop.time(),
+            )
+        except asyncio.TimeoutError:
+            raise _timed_out(timeout) from None
+        metrics.inc("client.connections")
+        return conn

@@ -12,6 +12,7 @@ from repro.serve.client import (
     RequestFailed,
     ResilientClient,
     RetryPolicy,
+    _TransportError,
     parse_address,
 )
 from repro.serve.faults import FaultPlan
@@ -536,3 +537,141 @@ class TestRetryAfterRefresh:
         assert "stale_map" in message
         assert counters["refreshes"] == 3
         assert counters["giveups"] == 1
+
+
+async def _fake_server(reply):
+    """A stream server answering each request line with
+    ``await reply(request, writer)``; returns ``(server, port)``."""
+
+    async def handle(reader, writer):
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                await reply(json.loads(line), writer)
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
+def _ok(request, **fields) -> bytes:
+    return json.dumps({"id": request["id"], "ok": True, **fields}).encode() + b"\n"
+
+
+class TestConnection:
+    """One request at a time per pooled connection, its reply on one
+    Future: timeouts, cancellation, early close and a wrong id each
+    discard the connection."""
+
+    def _roundtrip(self, reply, policy=None, calls=1):
+        async def main():
+            server, port = await _fake_server(reply)
+            client = ResilientClient(
+                [("127.0.0.1", port)], policy=policy or RetryPolicy(attempts=1)
+            )
+            address = client.addresses[0]
+            outcomes = []
+            for _ in range(calls):
+                try:
+                    outcomes.append(
+                        await client._roundtrip(address, {"op": "DIST"})
+                    )
+                except _TransportError as exc:
+                    outcomes.append(exc)
+            pooled = list(client._pool[address])
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            return outcomes, pooled
+
+        return run(main())
+
+    def test_attempt_timeout_discards_and_late_reply_never_pairs(self):
+        seen, late = [], []
+
+        async def reply(request, writer):
+            seen.append(request["id"])
+            if len(seen) == 1:
+                await asyncio.sleep(0.5)  # past the 0.4 s attempt deadline
+                late.append(True)
+            else:
+                while not late:  # answer only after the late reply went out
+                    await asyncio.sleep(0.01)
+            writer.write(_ok(request))
+            await writer.drain()
+
+        (timed_out, second), pooled = self._roundtrip(
+            reply, RetryPolicy(attempts=1, attempt_timeout=0.4), calls=2
+        )
+        assert isinstance(timed_out, _TransportError)
+        assert str(timed_out) == "attempt timed out after 0.4s"
+        # The second request went out on a fresh connection and got its
+        # own reply, not the first request's late one.
+        assert second["ok"] and second["id"] == seen[1] and late
+        assert len(pooled) == 1
+
+    def test_server_close_mid_reply(self):
+        async def reply(request, writer):
+            writer.write(_ok(request)[:10])  # half a line, then close
+            await writer.drain()
+            writer.close()
+
+        (outcome,), pooled = self._roundtrip(reply)
+        assert isinstance(outcome, _TransportError)
+        assert str(outcome) == "connection closed by server"
+        assert pooled == []
+
+    def test_wrong_echoed_id_is_desynchronized(self):
+        async def reply(request, writer):
+            writer.write(_ok({"id": "somebody-else"}))
+            await writer.drain()
+
+        (outcome,), pooled = self._roundtrip(reply)
+        assert isinstance(outcome, _TransportError)
+        assert "desynchronized" in str(outcome)
+        assert pooled == []
+
+    def test_cancelled_hedge_loser_closes_its_connection(self, catalog):
+        async def main():
+            staged = FaultPlan.from_dict(
+                {"stages": [
+                    {"requests": 1,
+                     "rules": [{"kind": "delay", "rate": 1.0,
+                                "delay_ms": 1500}]},
+                    {"rules": [{"kind": "delay", "rate": 0.0}]},
+                ]}
+            )
+            server = await _started(catalog, fault_plan=staged)
+            client = ResilientClient(
+                [("127.0.0.1", server.port)],
+                policy=RetryPolicy(attempts=2, attempt_timeout=5.0, hedge_after=0.08),
+            )
+            opened = []
+            acquire = client._acquire
+
+            async def tracked(*args):
+                conn = await acquire(*args)
+                opened.append(conn)
+                return conn
+
+            client._acquire = tracked
+            await client.dist((0, 0), (1, 1))
+            loser, winner = opened
+            await asyncio.wait_for(loser.closed, 5)
+            state = (
+                winner.transport.is_closing(),
+                client._pool[client.addresses[0]] == [winner],
+                client.counters["hedge_wins"],
+            )
+            await client.close()
+            await server.shutdown()
+            return state
+
+        winner_closing, winner_pooled, hedge_wins = run(main())
+        assert hedge_wins == 1
+        assert not winner_closing and winner_pooled
