@@ -55,7 +55,7 @@ def run_experiment():
         catalog = StoreCatalog()
         catalog.add(ShardedLabelStore.from_remote("bench", remote))
         server = OracleServer(
-            catalog, port=0, cache_size=server_opts["cache"], max_inflight=64
+            catalog, port=0, cache_size=server_opts["cache"]
         )
         await server.start()
         # Warm up connections + cache, then measure.

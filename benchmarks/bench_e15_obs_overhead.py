@@ -54,7 +54,7 @@ def build_remote():
 async def _one_round(remote, pairs):
     catalog = StoreCatalog()
     catalog.add(ShardedLabelStore.from_remote("bench", remote))
-    server = OracleServer(catalog, port=0, max_inflight=64)
+    server = OracleServer(catalog, port=0)
     await server.start()
     try:
         await run_loadgen(  # warm up connections

@@ -520,7 +520,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         cache_size=args.cache,
-        max_inflight=args.max_inflight,
         request_timeout=args.timeout,
         drain_grace=args.drain_grace,
         fault_plan=fault_plan,
@@ -1642,9 +1641,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hash shards per store")
     p.add_argument("--cache", type=int, default=0, metavar="N",
                    help="LRU cache capacity in (u, v) pairs (0 = off)")
-    p.add_argument("--max-inflight", type=int, default=64, metavar="M",
-                   help="max handlers that await running at once (the "
-                   "built-in ops are synchronous and take no slot)")
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request deadline in seconds for handlers that "
                    "await (the built-in ops are synchronous)")

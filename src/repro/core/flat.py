@@ -257,26 +257,26 @@ class FlatLabel:
     ascending key order, a ``VertexLabel``'s dict order or a ``/2``
     record's field order — so :meth:`to_label` reproduces the
     reference object exactly and serialization stays byte-identical.
-    ``index`` maps each key's integer code (:func:`encode_path_key`)
-    to its storage index, and ``key_set`` holds the same codes for
-    C-speed set intersection.  ``keys``, the path-key tuples, are only
-    read to rebuild the dict form, so a label built without them
-    derives them from ``index`` on first access.
+    The build, both codecs and :func:`insert_entry_sorted` all keep it
+    ascending.  ``index`` maps each key's integer code
+    (:func:`encode_path_key`) to its storage index.  ``keys``, the
+    path-key tuples, are only read to rebuild the dict form, so a label
+    built without them derives them from ``index`` on first access.
 
-    That is all a label holds when it is built.  The per-key merge
-    state — the run with its floats boxed once into a tuple (the merge
-    loop reads each float several times; tuple reads reuse the box,
-    array reads re-box every time), its minimum distance and its
-    pruning slack — is built by :meth:`span` the first time a query
-    shares that key, and memoized on the label.  A query reads only
-    the keys its two labels share (under half of them for a uniform
-    pair), so a label decoded off the mmap never pays for the rest.
+    A label built with ``memo`` (the default) is *resident*: it is
+    expected to answer many queries, so the per-key merge state — the
+    run with its floats boxed once into a tuple (the merge loop reads
+    each float several times; tuple reads reuse the box, array reads
+    re-box every time), its minimum distance and its pruning slack — is
+    built by :meth:`span` the first time a query shares that key, and
+    memoized on the label.  A label built with ``memo=False`` is
+    *churned*: a ``/2`` store whose file holds more labels than its
+    decode cache evicts most labels after a query or two, and building
+    and freeing that state costs more than it saves, so such a label
+    holds none and :func:`flat_estimate` merges its ``runs`` directly.
     """
 
-    __slots__ = (
-        "vertex", "offs", "runs", "index", "key_set", "_keys", "_spans",
-        "_label",
-    )
+    __slots__ = ("vertex", "offs", "runs", "index", "_keys", "_spans", "_label")
 
     def __init__(
         self,
@@ -285,14 +285,16 @@ class FlatLabel:
         runs: array,
         index: Dict[int, int],
         keys: Optional[Tuple[PathKey, ...]] = None,
+        memo: bool = True,
     ) -> None:
         self.vertex = vertex
         self.offs = offs
         self.runs = runs
         self.index = index
-        self.key_set = frozenset(index)
         self._keys = keys
-        self._spans: Dict[int, Tuple[Tuple[float, ...], float, float]] = {}
+        self._spans: Optional[Dict[int, Tuple[Tuple[float, ...], float, float]]] = (
+            {} if memo else None
+        )
         self._label: Optional[VertexLabel] = None
 
     @classmethod
@@ -399,82 +401,100 @@ class FlatLabel:
 def flat_estimate(label_u: FlatLabel, label_v: FlatLabel) -> float:
     """:func:`~repro.core.labeling.estimate_distance` over flat labels.
 
-    Key intersection is one C-level set operation; each shared key
-    (its merge state built by :meth:`FlatLabel.span` on first use) runs
-    the same sorted merge as
-    :func:`~repro.core.portals.min_portal_pair` directly on the
-    interleaved runs — identical float expressions in identical order,
-    so the result is bit-equal to the dict kernel's (``inf`` when no
-    key is shared; the running minimum is order-independent because
-    updates are strict).
+    Shared keys are found by walking the smaller label's ``index`` in
+    reverse storage order and testing membership in the other's.  Each
+    one runs the same sorted merge as
+    :func:`~repro.core.portals.min_portal_pair` on its two runs —
+    identical float expressions in identical order, so the result is
+    bit-equal to the dict kernel's (``inf`` when no key is shared; the
+    running minimum is order-independent because updates are strict).
+    Storage order is ascending key order (see :class:`FlatLabel`), so
+    the walk visits the deepest keys first: deeper tree nodes hold the
+    closer portals, so the first merges give a near-final ``best``.
 
-    Shared keys are visited deepest-first (descending key code: deeper
-    tree nodes hold the closer portals, so the first merges give a
-    near-final ``best``) and a key is skipped outright when even its
-    best conceivable candidate cannot beat ``best``.  The skip is
-    *exact*, not heuristic: every candidate is the three-addition float
-    evaluation of ``d_u + d_v + |p_u - p_v| >= min_d_u + min_d_v``,
-    whose accumulated rounding is below ``3 ulp`` of the operand
-    magnitudes, bounded here by ``max(d + p)`` per run; the pruning
-    threshold subtracts :data:`_PRUNE_SLACK` (thousands of ulps) of
-    that magnitude, so no candidate a skipped key could produce is ever
-    below ``best``.
+    When both labels are resident, each shared key's runs are its
+    memoized :meth:`FlatLabel.span` tuples, and a key is skipped
+    outright when even its best conceivable candidate cannot beat
+    ``best``.  The skip is *exact*, not heuristic: every candidate is
+    the three-addition float evaluation of ``d_u + d_v + |p_u - p_v| >=
+    min_d_u + min_d_v``, whose accumulated rounding is below ``3 ulp``
+    of the operand magnitudes, bounded here by ``max(d + p)`` per run;
+    the pruning threshold subtracts :data:`_PRUNE_SLACK` (thousands of
+    ulps) of that magnitude, so no candidate a skipped key could
+    produce is ever below ``best``.  When either label is churned, the
+    merge reads both labels' ``runs`` in place and prunes nothing;
+    skipping only ever drops candidates that are not below ``best``,
+    so both ways give the same bits.
     """
     if label_u.vertex == label_v.vertex:
         return 0.0
     a, b = label_u, label_v
-    if len(b.key_set) < len(a.key_set):
+    if len(b.index) < len(a.index):
         a, b = b, a
-    shared = a.key_set & b.key_set
+    b_index = b.index
+    sa, sb = a._spans, b._spans
+    memo = sa is not None and sb is not None
+    if not memo:
+        ra, oa, rb, ob = a.runs, a.offs, b.runs, b.offs
     best = INF
-    if shared:
-        sa, sb = a._spans, b._spans
-        for code in sorted(shared, reverse=True):
+    for code in reversed(a.index):
+        if code not in b_index:
+            continue
+        if memo:
             ra, ma, slack_a = sa.get(code) or a.span(code)
             rb, mb, slack_b = sb.get(code) or b.span(code)
             if ma + mb - slack_a - slack_b >= best:
                 continue
+            p = q = 0
             pe = len(ra)
             qe = len(rb)
-            if pe == 2 and qe == 2:
-                # Single portal on both sides: the merge below reduces
-                # to exactly one candidate with these exact expressions.
-                pa = ra[0]
-                pb = rb[0]
-                if pa <= pb:
-                    cand = ((ra[1] - pa) + rb[1]) + pb
-                else:
-                    cand = ((rb[1] - pb) + ra[1]) + pa
+        else:
+            ka = a.index[code]
+            kb = b_index[code]
+            p = 2 * oa[ka] + 2
+            pe = 2 * oa[ka + 1]
+            q = 2 * ob[kb] + 2
+            qe = 2 * ob[kb + 1]
+        if pe - p == 2 and qe - q == 2:
+            # Single portal on both sides: the merge below reduces to
+            # exactly one candidate with these exact expressions.
+            pa = ra[p]
+            pb = rb[q]
+            if pa <= pb:
+                cand = ((ra[p + 1] - pa) + rb[q + 1]) + pb
+            else:
+                cand = ((rb[q + 1] - pb) + ra[p + 1]) + pa
+            if cand < best:
+                best = cand
+            continue
+        best_u = INF  # min over a-portals seen so far of (d - pos)
+        best_v = INF  # min over b-portals seen so far of (d - pos)
+        while p < pe or q < qe:
+            if q >= qe or (p < pe and ra[p] <= rb[q]):
+                pos = ra[p]
+                d = ra[p + 1]
+                p += 2
+                cand = best_v + d + pos
                 if cand < best:
                     best = cand
-                continue
-            p = q = 0
-            best_u = INF  # min over a-portals seen so far of (d - pos)
-            best_v = INF  # min over b-portals seen so far of (d - pos)
-            while p < pe or q < qe:
-                if q >= qe or (p < pe and ra[p] <= rb[q]):
-                    pos = ra[p]
-                    d = ra[p + 1]
-                    p += 2
-                    cand = best_v + d + pos
-                    if cand < best:
-                        best = cand
-                    du = d - pos
-                    if du < best_u:
-                        best_u = du
-                else:
-                    pos = rb[q]
-                    d = rb[q + 1]
-                    q += 2
-                    cand = best_u + d + pos
-                    if cand < best:
-                        best = cand
-                    dv = d - pos
-                    if dv < best_v:
-                        best_v = dv
+                du = d - pos
+                if du < best_u:
+                    best_u = du
+            else:
+                pos = rb[q]
+                d = rb[q + 1]
+                q += 2
+                cand = best_u + d + pos
+                if cand < best:
+                    best = cand
+                dv = d - pos
+                if dv < best_v:
+                    best_v = dv
     if metrics.enabled:
         metrics.inc("oracle.query.count")
-        metrics.inc("oracle.query.portal_scans", len(shared))
+        metrics.inc(
+            "oracle.query.portal_scans", sum(code in b_index for code in a.index)
+        )
     return best
 
 

@@ -16,7 +16,7 @@ predictably under misuse and load:
 * **Backpressure** — a peer that stops reading fills its transport's
   write buffer, and ``pause_writing`` pauses reading on that connection
   until ``resume_writing``, so the replies buffered for it stay
-  bounded.  Handlers that await hold one of ``max_inflight`` semaphore
+  bounded.  Handlers that await hold one of ``MAX_INFLIGHT`` semaphore
   slots while they run, and one that finds none free waits for one.
   The built-in ops are synchronous and take no slot.
 * **Request timeout** — an awaiting handler gets a structured
@@ -275,6 +275,9 @@ class OracleServer:
     :mod:`repro.serve.faults` and :meth:`_write_response`.
     """
 
+    #: Awaiting handlers (an overriding ``_dispatch``) running at once.
+    MAX_INFLIGHT = 64
+
     def __init__(
         self,
         catalog: StoreCatalog,
@@ -282,7 +285,6 @@ class OracleServer:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_size: int = 0,
-        max_inflight: int = 64,
         request_timeout: float = 30.0,
         drain_grace: float = 10.0,
         max_batch: int = DEFAULT_MAX_BATCH,
@@ -290,8 +292,6 @@ class OracleServer:
         timeseries: Optional[TimeseriesWriter] = None,
         cluster=None,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.catalog = catalog
         # Cluster membership (a repro.cluster.map.ClusterNodeState, but
         # duck-typed here — see ClusterStoreView for why).  When set,
@@ -318,7 +318,7 @@ class OracleServer:
         }
         self.peak_inflight = 0
         self._inflight = 0
-        self._sema = asyncio.Semaphore(max_inflight)
+        self._sema = asyncio.Semaphore(self.MAX_INFLIGHT)
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
@@ -546,7 +546,7 @@ class OracleServer:
 
     async def _await_handler(self, result):
         """Await an overriding handler's *result* under the request
-        deadline, holding one of the ``max_inflight`` slots.
+        deadline, holding one of the :attr:`MAX_INFLIGHT` slots.
 
         The connection takes a request's first step in its read
         callback, outside any Task, and an asyncio deadline needs one

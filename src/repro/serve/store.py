@@ -118,8 +118,9 @@ class ShardedLabelStore:
     ``/1`` store keeps every label there and has no ``reader``; a
     ``/2`` store keeps only delta-rewritten labels there and decodes
     the rest from its mmap'd ``reader`` through an LRU of
-    ``label_cache`` labels.  Lookup, delta application and accounting
-    are the same code for both.
+    ``label_cache`` labels, churned ones (no merge state, see
+    :class:`FlatLabel`) when the file holds more labels than that.
+    Lookup, delta application and accounting are the same code for both.
 
     Per-shard label and word counts are plain integers: computed at
     load (read from the ``/2`` shard directory, which decodes nothing)
@@ -144,6 +145,7 @@ class ShardedLabelStore:
         self._overlay: Dict[Vertex, FlatLabel] = {}
         self._cache: "OrderedDict[Vertex, FlatLabel]" = OrderedDict()
         self._cache_capacity = label_cache
+        self._memo = reader is None or reader.num_labels <= label_cache
         self._shard_labels = [0] * num_shards
         self._shard_words = [0] * num_shards
         self.label_epoch = 0
@@ -234,7 +236,7 @@ class ShardedLabelStore:
             if found is not None:
                 cache.move_to_end(v)
                 return found
-            found = self.reader.get_flat(v)
+            found = self.reader.get_flat(v, self._memo)
             if found is not None:
                 if self._cache_capacity > 0:
                     cache[v] = found

@@ -271,12 +271,14 @@ class TestCache:
 class TestBackpressure:
     def test_inflight_never_exceeds_cap(self, catalog):
         class SlowServer(OracleServer):
+            MAX_INFLIGHT = 2
+
             async def _dispatch(self, request):
                 await asyncio.sleep(0.03)
                 return super()._dispatch(request)
 
         async def main():
-            server = SlowServer(catalog, port=0, max_inflight=2)
+            server = SlowServer(catalog, port=0)
             await server.start()
             lines = await asyncio.gather(
                 *(rpc(server.port, [{"id": i, "op": "HEALTH"}]) for i in range(8))
