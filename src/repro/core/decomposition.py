@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
     Hashable,
@@ -33,7 +32,6 @@ from repro.core.engines import SeparatorEngine, auto_engine, build_scope
 from repro.core.separator import PathSeparator
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
-from repro.graphs.shortest_paths import batched_dijkstra
 from repro.graphs.validation import require_connected
 from repro.obs import metrics, span
 from repro.util.errors import InvalidDecompositionError
@@ -160,8 +158,8 @@ class DecompositionTree:
         One unit is the batch granule of label construction: the
         vertices that need portal entries for a unit are exactly its
         residual's members, and all their per-path distances come from
-        one :func:`~repro.graphs.shortest_paths.batched_dijkstra` pass
-        (see :func:`phase_portal_distance_maps`).  Cached after the
+        one multi-source Dijkstra pass
+        (:func:`~repro.core.flat.flat_unit_entries`).  Cached after the
         first call — forked labeling workers inherit the cache instead
         of recomputing it.
         """
@@ -276,33 +274,6 @@ class DecompositionTree:
 
 def sorted_key(fs: FrozenSet) -> str:
     return repr(sorted(fs, key=repr))
-
-
-def phase_portal_distance_maps(
-    graph: Graph,
-    tree: "DecompositionTree",
-    node_id: int,
-    phase_idx: int,
-    residual: AbstractSet[Vertex],
-) -> Dict[Vertex, Dict[Vertex, float]]:
-    """Distance maps ``d_J(x, .)`` for every vertex x on the separator
-    paths of one (node, phase), in one batched heap pass over the
-    residual J.
-
-    Because the graph is undirected, ``d_J(x, v)`` read from these maps
-    equals the ``d_J(v, x)`` a per-vertex Dijkstra would produce, so
-    portal selection for *every* vertex of J needs only this one batch
-    instead of |J| truncated searches.
-    """
-    phase = tree.nodes[node_id].separator.phases[phase_idx]
-    sources: List[Vertex] = []
-    seen: Set[Vertex] = set()
-    for path in phase.paths:
-        for x in path:
-            if x not in seen:
-                seen.add(x)
-                sources.append(x)
-    return batched_dijkstra(graph, sources, allowed=residual)
 
 
 def build_decomposition(

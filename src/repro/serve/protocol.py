@@ -176,23 +176,15 @@ def _reject_constant(name: str):
     raise ProtocolError("bad_request", f"non-finite number {name} in request")
 
 
-def _ensure_finite(data) -> None:
-    """Reject non-finite floats anywhere in a parsed payload.
-
-    ``json.loads("1e999")`` silently overflows to ``inf`` without going
-    through ``parse_constant``, and an ``inf`` smuggled into ``"id"``
-    (echoed verbatim) would make the *response* unencodable — a
-    fuzz-found way to kill a connection.  One recursive scan keeps every
-    reply strict-JSON-safe.
-    """
-    if isinstance(data, float) and not math.isfinite(data):
+def _finite_float(text: str) -> float:
+    """``json.loads``'s float hook: ``1e999`` overflows to ``inf``
+    without passing ``parse_constant``, and an ``inf`` echoed in
+    ``"id"`` would make the *response* unencodable (a fuzz-found way
+    to kill a connection), so it is refused as it is parsed."""
+    value = float(text)
+    if not math.isfinite(value):
         raise ProtocolError("bad_request", "non-finite number in request")
-    elif isinstance(data, list):
-        for item in data:
-            _ensure_finite(item)
-    elif isinstance(data, dict):
-        for value in data.values():
-            _ensure_finite(value)
+    return value
 
 
 def parse_request(raw) -> Request:
@@ -207,12 +199,13 @@ def parse_request(raw) -> Request:
         except UnicodeDecodeError:
             raise ProtocolError("bad_request", "request is not UTF-8") from None
     try:
-        payload = json.loads(raw, parse_constant=_reject_constant)
+        payload = json.loads(
+            raw, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ProtocolError("bad_request", f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("bad_request", "request is not a JSON object")
-    _ensure_finite(payload)
 
     req_id = payload.get("id")
     try:

@@ -39,12 +39,7 @@ from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple
 from typing import Union
 
 from repro.core.binfmt import BinaryLabelReader, is_binary_labels
-from repro.core.flat import (
-    FlatLabel,
-    apply_entry_changes,
-    flat_estimate,
-    group_entry_changes,
-)
+from repro.core.flat import FlatLabel, flat_estimate, group_entry_changes
 from repro.core.labeling import VertexLabel
 from repro.core.serialize import RemoteLabels, load_labeling, shard_key_bytes
 from repro.dynamic.rebuild import (
@@ -277,9 +272,10 @@ class ShardedLabelStore:
         :meth:`apply_delta`'s job.
 
         Changes are grouped per vertex, so each touched label is
-        replaced once by a copy (:func:`repro.core.flat.apply_entry_changes`
-        on its ``entries()``, never mutating the old label or its
-        memoized ``to_label`` object) and installed in the overlay.  With
+        replaced once by a copy (:meth:`FlatLabel.with_changes
+        <repro.core.flat.FlatLabel.with_changes>`, never mutating the
+        old label or its memoized ``to_label`` object) and installed in
+        the overlay.  With
         ``require_vertices``, a delta naming an unlabeled vertex is
         refused before anything is applied.
         """
@@ -297,10 +293,9 @@ class ShardedLabelStore:
         applied_changes = applied_removals = 0
         for vx, old in current.items():
             vx_changes, vx_removals = grouped[vx]
-            entries = old.entries()
-            applied_removals += apply_entry_changes(entries, vx_changes, vx_removals)
+            new, removed = old.with_changes(vx_changes, vx_removals)
+            applied_removals += removed
             applied_changes += len(vx_changes)
-            new = FlatLabel.from_entries(old.vertex, entries)
             self._overlay[vx] = new
             self._cache.pop(vx, None)
             self._shard_words[self.shard_index(vx)] += new.words - old.words

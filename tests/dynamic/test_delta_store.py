@@ -172,13 +172,13 @@ class TestDeltaApplyPath:
         touched.update(vx for vx, _key in delta.removals)
         assert len(delta.changes) + len(delta.removals) > len(touched)
         built = []
-        original = FlatLabel.from_entries.__func__
+        original = FlatLabel.with_changes
 
-        def counting(cls, vertex, entries):
-            built.append(vertex)
-            return original(cls, vertex, entries)
+        def counting(label, changes, removals):
+            built.append(label.vertex)
+            return original(label, changes, removals)
 
-        monkeypatch.setattr(FlatLabel, "from_entries", classmethod(counting))
+        monkeypatch.setattr(FlatLabel, "with_changes", counting)
         store.apply_delta(delta)
         assert sorted(built, key=repr) == sorted(touched, key=repr)
 

@@ -16,6 +16,8 @@ from repro.dynamic import (
     delta_to_dict,
     incremental_relabel,
 )
+from repro.core.flat import FlatBuildContext, flat_unit_rows
+from repro.dynamic import rebuild
 from repro.dynamic.rebuild import _UnitDistCache
 
 from tests.dynamic.conftest import CASES, EPSILON, fresh_case
@@ -55,13 +57,53 @@ class TestByteIdentity:
             units = affected_units(tree, update.u, update.v)
             incremental_relabel(labeling, update)
             assert len(cache.units) == 1
-            assert cache.entries == sum(
-                len(m) for maps in cache.units.values() for m in maps.values()
+            assert cache.slots == sum(
+                len(row)
+                for unit in cache.units.values()
+                for row in unit.rows.values()
             )
             evicted |= len(units) > 1
             fresh = build_labeling(graph, tree, epsilon=EPSILON)
             assert dump_labeling(labeling) == dump_labeling(fresh)
         assert evicted
+
+    def test_warm_rows_equal_a_cold_recompute(self, case, monkeypatch):
+        # Increases and decreases fold into the cached rows in place;
+        # afterwards every cached unit must hold, bit for bit, the rows
+        # a cold recompute over the current weights gives.
+        graph, tree, labeling = fresh_case(case)
+        folds = {"increase": 0, "decrease": 0}
+        for name in folds:
+            fold = getattr(rebuild, f"_propagate_{name}")
+
+            def counting(*args, _fold=fold, _name=name):
+                changed = _fold(*args)
+                folds[_name] += bool(changed)
+                return changed
+
+            monkeypatch.setattr(rebuild, f"_propagate_{name}", counting)
+        rng = random.Random(21)
+        for _ in range(4):
+            update = random_reweight(rng, graph)
+            u, v = update.u, update.v
+            w = float(graph.weight(u, v))
+            for factor in (2.0, 0.5, 1.5):  # up, below the start, up
+                incremental_relabel(labeling, EdgeUpdate(u, v, factor * w))
+        assert folds["increase"] and folds["decrease"]
+        residuals = {(n, p): r for n, p, r in tree.phase_units()}
+        ctx = FlatBuildContext(graph, tree)
+        cache = labeling._unit_dist_cache
+        assert cache.units
+        for (node_id, phase_idx), warm in cache.units.items():
+            cold = flat_unit_rows(
+                ctx, node_id, phase_idx, residuals[node_id, phase_idx]
+            )
+            assert warm.verts == cold.verts
+            assert warm.pos == cold.pos
+            assert list(warm.rows) == list(cold.rows)
+            for x, row in cold.rows.items():
+                assert warm.rows[x].tobytes() == row.tobytes()
+        assert cache.slots == sum(unit.slots for unit in cache.units.values())
 
     def test_raise_then_lower_restores_the_labels(self, case):
         # A warm increase followed by a warm decrease on the same edge

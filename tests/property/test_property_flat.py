@@ -1,7 +1,7 @@
 """Property-based tests for the flat CSR core.
 
-Two families of invariants, over randomized graphs (grids, Delaunay
-triangulations, ``G(n, p)``, preferential attachment):
+Three families of invariants, the first two over randomized graphs
+(grids, Delaunay triangulations, ``G(n, p)``, preferential attachment):
 
 * **CSR round trip** — ``CSRGraph.from_graph`` then ``to_graph`` is
   the identity on the adjacency structure *and* on every edge weight,
@@ -12,6 +12,8 @@ triangulations, ``G(n, p)``, preferential attachment):
   (``tests/reference_labeling.py``) on every queried pair,
   including unreachable (infinite) answers and labels with no entries
   at all.
+* **Label edits** — ``FlatLabel.with_changes`` splices the same bytes,
+  key order and removal count as the ``entries()`` round trip.
 
 Like the differential wall, this suite never skips: numpy and scipy
 are required.
@@ -19,11 +21,14 @@ are required.
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSRGraph, FlatLabel, build_decomposition, build_labeling, flat_estimate
+from repro.core.flat import apply_entry_changes
 from repro.core.labeling import VertexLabel, estimate_distance
+from repro.core.serialize import SerializationError
 from repro.generators import (
     gnp_random_graph,
     grid_2d,
@@ -166,3 +171,137 @@ class TestKernelEquivalence:
             assert back.vertex == lab.vertex
             assert back.entries == lab.entries
             assert back.words == lab.words
+
+
+# -- label edits -----------------------------------------------------------
+
+# A small key space, so changes and removals often hit held keys.
+key_strategy = st.tuples(
+    st.integers(0, 5), st.integers(0, 2), st.integers(0, 3)
+)
+portals_strategy = st.lists(
+    st.tuples(
+        st.floats(0.0, 64.0, allow_nan=False),
+        st.floats(0.0, 64.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def spliced_and_reference(label, changes, removals):
+    """``label.with_changes`` beside the entries round trip it must
+    equal: ``entries()``, ``apply_entry_changes``, ``from_entries``.
+    Either side's ``SerializationError`` is returned, not raised."""
+    def reference():
+        entries = label.entries()
+        removed = apply_entry_changes(entries, changes, removals)
+        return FlatLabel.from_entries(label.vertex, entries), removed
+
+    out = []
+    for side in (lambda: label.with_changes(changes, removals), reference):
+        try:
+            out.append(side())
+        except SerializationError as exc:
+            out.append(str(exc))
+    return out
+
+
+def assert_same_label(got, want):
+    assert got[1] == want[1]  # removals that found their key
+    got, want = got[0], want[0]
+    assert got.runs.tobytes() == want.runs.tobytes()
+    assert list(got.offs) == list(want.offs)
+    assert list(got.index.items()) == list(want.index.items())
+    assert got.keys == want.keys
+    assert got.words == want.words
+
+
+class TestLabelSplice:
+    """``FlatLabel.with_changes`` against the entries round trip: same
+    bytes, same key order and the same removal count, on ascending
+    labels and on hand-made labels that are not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        held=st.dictionaries(key_strategy, portals_strategy, max_size=8),
+        ascending=st.booleans(),
+        order_seed=st.integers(0, 10**6),
+        changes=st.lists(st.tuples(key_strategy, portals_strategy), max_size=5),
+        removals=st.lists(key_strategy, max_size=5),
+        extra=st.data(),
+    )
+    def test_splice_equals_entries_round_trip(
+        self, held, ascending, order_seed, changes, removals, extra
+    ):
+        items = sorted(held.items())
+        if not ascending:
+            random.Random(order_seed).shuffle(items)
+        label = FlatLabel.from_entries("v", dict(items))
+        before = label.runs.tobytes()
+        # Some removals repeat a changed key or an earlier removal.
+        pool = [key for key, _ in changes] + removals
+        if pool:
+            removals = removals + extra.draw(
+                st.lists(st.sampled_from(pool), max_size=3)
+            )
+        got, want = spliced_and_reference(label, changes, removals)
+        assert_same_label(got, want)
+        assert label.runs.tobytes() == before  # the old label is untouched
+
+    def test_edge_cases_by_hand(self):
+        descending = FlatLabel.from_entries(
+            "v", {(3, 0, 0): [(0.0, 1.0)], (1, 0, 0): [(0.0, 2.0)],
+                  (2, 1, 0): [(1.0, 3.0), (4.0, 5.0)]}
+        )
+        cases = [
+            # A change alone re-sorts a label not in ascending order...
+            ([((1, 0, 0), [(0.0, 9.0)])], []),
+            # ...even when that change is removed again.
+            ([((0, 0, 0), [(0.0, 9.0)])], [(0, 0, 0)]),
+            # Removals alone keep the order.
+            ([], [(3, 0, 0), (3, 0, 0), (9, 9, 9)]),
+            # Changed and removed, duplicate removals, an absent key and
+            # one no label could hold.
+            ([((2, 1, 0), [(0.0, 1.0)]), ((5, 0, 0), [(2.0, 2.0)])],
+             [(2, 1, 0), (2, 1, 0), (7, 0, 0), (0, 1 << 40, 0)]),
+            # Repeated changes: the last one wins.
+            ([((4, 0, 0), [(0.0, 1.0)]), ((4, 0, 0), [(0.0, 2.0)])], []),
+        ]
+        for label in (descending, FlatLabel.from_entries("v", {})):
+            for changes, removals in cases:
+                got, want = spliced_and_reference(label, changes, removals)
+                assert_same_label(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        field=st.integers(0, 2),
+        value=st.sampled_from([1 << 31, -(1 << 31) - 1, 1 << 40]),
+        ascending=st.booleans(),
+    )
+    def test_key_overflowing_i32_raises_naming_vertex_and_key(
+        self, field, value, ascending
+    ):
+        items = [((1, 0, 0), [(0.0, 1.0)]), ((2, 0, 0), [(0.0, 2.0)])]
+        label = FlatLabel.from_entries(
+            (4, 2), dict(items if ascending else items[::-1])
+        )
+        key = [3, 0, 0]
+        key[field] = value
+        key = tuple(key)
+        got, want = spliced_and_reference(label, [(key, [(0.0, 1.0)])], [])
+        assert got == want
+        assert isinstance(got, str)
+        assert repr(key) in got and repr((4, 2)) in got
+        with pytest.raises(SerializationError, match="does not fit i32"):
+            label.with_changes([(key, [(0.0, 1.0)])], [])
+        # With two such keys, both name the one first in key order.
+        other = (9,) + key[1:] if field else (2, 1 << 31, 0)
+        two = [(max(key, other), [(0.0, 1.0)]), (min(key, other), [(0.0, 2.0)])]
+        got, want = spliced_and_reference(label, two, [])
+        assert got == want and repr(min(key, other)) in got
+        # Removed again before the label is cut: no header, no error.
+        got, want = spliced_and_reference(
+            label, [(key, [(0.0, 1.0)])], [key]
+        )
+        assert_same_label(got, want)

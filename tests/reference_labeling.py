@@ -18,17 +18,45 @@ can be ``cmp``'d against a reference build.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Hashable, List, Tuple
+from typing import AbstractSet, Dict, Hashable, List, Tuple
 
-from repro.core.decomposition import DecompositionTree, PathKey, phase_portal_distance_maps
+from repro.core.decomposition import DecompositionTree, PathKey
 from repro.core.labeling import INF, PortalEntry, VertexLabel, estimate_distance
 from repro.core.portals import epsilon_cover_portals_at
 from repro.graphs.graph import Graph
+from repro.graphs.shortest_paths import batched_dijkstra
 from repro.util.errors import GraphError
 from repro.util.sizing import SizeReport
 
 Vertex = Hashable
 UnitEntries = List[Tuple[Vertex, PathKey, List[PortalEntry]]]
+
+
+def phase_portal_distance_maps(
+    graph: Graph,
+    tree: DecompositionTree,
+    node_id: int,
+    phase_idx: int,
+    residual: AbstractSet,
+) -> Dict[Vertex, Dict[Vertex, float]]:
+    """Distance maps ``d_J(x, .)`` for every vertex x on the separator
+    paths of one (node, phase), in one batched heap pass over the
+    residual J.
+
+    Because the graph is undirected, ``d_J(x, v)`` read from these maps
+    equals the ``d_J(v, x)`` a per-vertex Dijkstra would produce, so
+    portal selection for *every* vertex of J needs only this one batch
+    instead of |J| truncated searches.
+    """
+    phase = tree.nodes[node_id].separator.phases[phase_idx]
+    sources: List[Vertex] = []
+    seen = set()
+    for path in phase.paths:
+        for x in path:
+            if x not in seen:
+                seen.add(x)
+                sources.append(x)
+    return batched_dijkstra(graph, sources, allowed=residual)
 
 
 def unit_entries(

@@ -78,6 +78,29 @@ class TestParseErrors:
     def test_bad_request(self, raw):
         assert _err(raw).code == "bad_request"
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '{"id": 1e999, "op": "HEALTH"}',
+            '{"op": "BATCH", "pairs": [[1, 2], [3, -1e999]]}',
+            '{"op": "DELTA", "action": "apply", "delta": {"u": 0, "v": 1, '
+            '"w": 2.0, "old_w": 1.0, "epsilon": 0.25, "epoch": 1, "units": 1, '
+            '"changes": [[5, "3:0:1", [[0.0, 1.5], [2.0, 1e999]]]], '
+            '"removals": []}}',
+        ],
+    )
+    def test_overflowing_float_is_refused(self, raw):
+        # 1e999 parses to inf without passing parse_constant; it must
+        # be refused wherever it sits, before any reply could echo it.
+        exc = _err(raw)
+        assert exc.code == "bad_request"
+        assert str(exc) == "non-finite number in request"
+        assert exc.req_id is None
+
+    def test_finite_floats_still_parse(self):
+        req = parse_request('{"id": 2.5, "op": "BATCH", "pairs": [[1e300, 2]]}')
+        assert req.id == 2.5 and req.pairs == [(1e300, 2)]
+
     def test_unknown_op(self):
         exc = _err('{"id": 9, "op": "EXPLODE"}')
         assert exc.code == "unknown_op"
