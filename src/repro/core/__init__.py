@@ -35,9 +35,9 @@ from repro.core.engines import (
     auto_engine,
 )
 from repro.core.flat import CSRGraph, FlatLabel, flat_estimate
-from repro.core.labeling import DistanceLabeling, VertexLabel, build_labeling
+from repro.core.labeling import DistanceLabeling, build_labeling
 from repro.core.oracle import PathSeparatorOracle
-from repro.core.portals import claim1_landmarks, epsilon_cover_portals, min_portal_pair
+from repro.core.portals import claim1_landmarks, epsilon_cover_portals
 from repro.core.routing import CompactRoutingScheme
 from repro.core.separator import PathSeparator, SeparatorPhase
 from repro.core.serialize import (
@@ -83,7 +83,6 @@ __all__ = [
     "SeparatorPhase",
     "StrongGreedyEngine",
     "TreeCentroidEngine",
-    "VertexLabel",
     "auto_engine",
     "build_decomposition",
     "build_labeling",
@@ -97,5 +96,4 @@ __all__ = [
     "greedy_route",
     "load_labeling",
     "grid3d_doubling_decomposition",
-    "min_portal_pair",
 ]

@@ -75,7 +75,6 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 import numpy as _np
 
 from repro.core.flat import ENTRY_HEADER, FlatLabel
-from repro.core.labeling import VertexLabel
 from repro.core.serialize import (
     SerializationError,
     canonical_vertex,
@@ -211,10 +210,6 @@ def decode_vertex_binary(buf, pos: int) -> Tuple[Vertex, int]:
 
 # -- label records --------------------------------------------------------
 
-def _as_flat(label) -> FlatLabel:
-    return label if isinstance(label, FlatLabel) else FlatLabel.from_label(label)
-
-
 def _entries_region(label: FlatLabel) -> bytes:
     """The record's entries region: ``runs`` itself, whose header slots
     already hold the record's entry headers."""
@@ -269,18 +264,17 @@ def _check_portals_finite(labels: List[FlatLabel], regions: List[bytes]) -> None
                     )
 
 
-def encode_label_binary(label) -> bytes:
-    """One label (a ``FlatLabel`` or a ``VertexLabel``) as a /2 record.
+def encode_label_binary(label: FlatLabel) -> bytes:
+    """One label as a /2 record.
 
     Entry order is the label's storage order, so a /1 -> /2 -> /1
     round trip reproduces the original JSON byte-for-byte.  Non-finite
     portal distances are a bug upstream of serialization (the wire
     protocol forbids them) and raise here, same as the JSON codec.
     """
-    flat = _as_flat(label)
-    region = _entries_region(flat)
-    _check_portals_finite([flat], [region])
-    return _record_head(flat) + region
+    region = _entries_region(label)
+    _check_portals_finite([label], [region])
+    return _record_head(label) + region
 
 
 def _decode_label_flat(buf, start: int, end: int, memo: bool = True):
@@ -295,9 +289,7 @@ def _decode_label_flat(buf, start: int, end: int, memo: bool = True):
     headers back out of that copy.  Key codes are
     :func:`repro.core.flat.encode_path_key`'s expression on the i32
     fields, which are in its range by construction.  On big-endian
-    hosts the portal slots are then rewritten as native doubles.  The
-    dict form (:meth:`BinaryLabelReader.decode_record`) is this label's
-    ``to_label()``.
+    hosts the portal slots are then rewritten as native doubles.
     """
     vertex, pos = decode_vertex_binary(buf, start)
     try:
@@ -349,15 +341,14 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
     Records keep the labeling's own order; the shard directory and hash
     index are layered on the side so the mmap reader can route and
     binary-search without touching the records region.  Each record is
-    its vertex, its entry count and its label's ``runs`` verbatim
-    (``VertexLabel`` inputs are converted first).
+    its vertex, its entry count and its label's ``runs`` verbatim.
     """
     if num_shards < 1:
         raise SerializationError(f"num_shards must be >= 1, got {num_shards}")
     epsilon = float(labeling.epsilon)
     if not math.isfinite(epsilon):
         raise SerializationError(f"non-finite epsilon {epsilon!r}")
-    labels = [_as_flat(label) for label in labeling.labels.values()]
+    labels: List[FlatLabel] = list(labeling.labels.values())
 
     heads: List[bytes] = []
     regions: List[bytes] = []
@@ -451,7 +442,7 @@ class BinaryLabelReader:
     """Zero-copy view over one /2 file.
 
     Opening maps the file and reads 80 bytes — O(1) regardless of
-    label count.  :meth:`get` routes through the shard directory,
+    label count.  :meth:`get_flat` routes through the shard directory,
     binary-searches the shard's hash-index slots, and decodes only the
     one record it lands on; the untouched rest of the file stays on
     disk until the OS pages it in.
@@ -579,11 +570,7 @@ class BinaryLabelReader:
             )
         return self._records_off + start, self._records_off + end
 
-    def decode_record(self, record_id: int) -> VertexLabel:
-        """Materialize one :class:`VertexLabel` by record id."""
-        return self.decode_record_flat(record_id).to_label()
-
-    def decode_record_flat(self, record_id: int, memo: bool = True):
+    def decode_record_flat(self, record_id: int, memo: bool = True) -> FlatLabel:
         """Materialize one record as a
         :class:`repro.core.flat.FlatLabel` (no dict/tuple fan-out),
         resident or, without *memo*, churned."""
@@ -639,17 +626,10 @@ class BinaryLabelReader:
         """Whether *v* has a record; decodes only candidate vertices."""
         return self._find_record(v) is not None
 
-    def get(self, v: Vertex) -> Optional[VertexLabel]:
-        """The label of *v*, or None — decoding only candidate records."""
-        record_id = self._find_record(v)
-        if record_id is None:
-            return None
-        return self.decode_record(record_id)
-
-    def get_flat(self, v: Vertex, memo: bool = True):
+    def get_flat(self, v: Vertex, memo: bool = True) -> Optional[FlatLabel]:
         """The label of *v* as a :class:`repro.core.flat.FlatLabel`,
-        or None.  Same routing as :meth:`get`, flat decode; *memo* as
-        in :meth:`decode_record_flat`."""
+        or None — decoding only candidate records; *memo* as in
+        :meth:`decode_record_flat`."""
         record_id = self._find_record(v)
         if record_id is None:
             return None
@@ -660,10 +640,10 @@ class BinaryLabelReader:
         for record_id in range(self.num_labels):
             yield self.record_vertex(record_id)
 
-    def iter_labels(self) -> Iterator[VertexLabel]:
-        """Fully decoded labels in record (source) order."""
+    def iter_labels(self) -> Iterator[FlatLabel]:
+        """Fully decoded resident labels in record (source) order."""
         for record_id in range(self.num_labels):
-            yield self.decode_record(record_id)
+            yield self.decode_record_flat(record_id)
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
@@ -701,7 +681,7 @@ def read_labeling_binary(source: Union[str, Path, bytes]):
     from repro.core.serialize import RemoteLabels
 
     with BinaryLabelReader(source) as reader:
-        labels: Dict[Vertex, VertexLabel] = {}
+        labels: Dict[Vertex, FlatLabel] = {}
         for label in reader.iter_labels():
             if label.vertex in labels:
                 raise SerializationError(

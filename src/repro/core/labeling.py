@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.decomposition import DecompositionTree, PathKey
-from repro.core.portals import min_portal_pair
+from repro.core.decomposition import DecompositionTree
 from repro.graphs.graph import Graph
 from repro.obs import metrics, record_span, span
 from repro.util.errors import GraphError
 from repro.util.rng import SeedLike, derive_seed
-from repro.util.sizing import PORTAL_ENTRY_WORDS, SizeReport
+from repro.util.sizing import SizeReport
 
 if TYPE_CHECKING:  # flat imports this module
     from repro.core.flat import FlatLabel
@@ -41,65 +39,17 @@ PortalEntry = Tuple[float, float]  # (prefix position on the path, distance)
 INF = float("inf")
 
 
-@dataclass
-class VertexLabel:
-    """The distance label of one vertex: portal lists keyed by
-    (node_id, phase_index, path_index).
-
-    The dict form: what the loaders return and what the LABEL op
-    sends.  A build holds :class:`repro.core.flat.FlatLabel` instead.
-    """
-
-    vertex: Vertex
-    entries: Dict[PathKey, List[PortalEntry]] = field(default_factory=dict)
-
-    @property
-    def num_portals(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
-    @property
-    def words(self) -> int:
-        """Label size in the paper's word model (see repro.util.sizing)."""
-        return self.num_portals * PORTAL_ENTRY_WORDS + len(self.entries)
-
-
-def estimate_distance(label_u, label_v) -> float:
-    """Distributed (1+eps)-approximate distance query from two labels.
+def estimate_distance(label_u: "FlatLabel", label_v: "FlatLabel") -> float:
+    """Distributed (1+eps)-approximate distance query from two labels,
+    by :func:`repro.core.flat.flat_estimate`.
 
     Returns ``inf`` if the labels share no separator path (which for
     labels of the same connected graph cannot happen unless u = v is
-    false in different components).  A ``FlatLabel`` argument (a
-    build's labels) sends both through
-    :func:`repro.core.flat.flat_estimate`, whose result is bit-equal.
+    false in different components).
     """
-    if not (isinstance(label_u, VertexLabel) and isinstance(label_v, VertexLabel)):
-        from repro.core.flat import FlatLabel, flat_estimate
+    from repro.core.flat import flat_estimate
 
-        return flat_estimate(
-            *(
-                x if isinstance(x, FlatLabel) else FlatLabel.from_label(x)
-                for x in (label_u, label_v)
-            )
-        )
-    if label_u.vertex == label_v.vertex:
-        return 0.0
-    a, b = label_u.entries, label_v.entries
-    if len(b) < len(a):
-        a, b = b, a
-    best = INF
-    scans = 0
-    for key, entries_a in a.items():
-        entries_b = b.get(key)
-        if entries_b is None:
-            continue
-        scans += 1
-        cand = min_portal_pair(entries_a, entries_b)
-        if cand < best:
-            best = cand
-    if metrics.enabled:
-        metrics.inc("oracle.query.count")
-        metrics.inc("oracle.query.portal_scans", scans)
-    return best
+    return flat_estimate(label_u, label_v)
 
 
 class DistanceLabeling:

@@ -16,8 +16,8 @@ Two selection rules are implemented:
   ``2^i * d`` for i in 0..ceil(log2 Delta) on both sides of the
   closest vertex x_c, giving the 3/4-contraction of Claim 1.
 
-:func:`min_portal_pair` evaluates a query across two portal lists on
-the same path in linear time.
+The query-time combine over two portal lists lives in
+:func:`repro.core.flat.flat_estimate`.
 """
 
 from __future__ import annotations
@@ -142,40 +142,3 @@ def claim1_landmarks(
             landmarks.add(j)
     return sorted(landmarks)
 
-
-def min_portal_pair(
-    entries_u: Sequence[PortalEntry],
-    entries_v: Sequence[PortalEntry],
-) -> float:
-    """Best estimate ``min d_u(c1) + d_Q(c1, c2) + d_v(c2)`` over portal
-    pairs on one path, in O(|C_u| + |C_v|) by a sorted merge.
-
-    ``d_Q(c1, c2)`` is the absolute prefix difference.  Entries must be
-    sorted by prefix position (as produced by the cover functions).
-    Returns ``inf`` when either list is empty.
-    """
-    if not entries_u or not entries_v:
-        return INF
-    best = INF
-    i = j = 0
-    best_u = INF  # min over u-portals seen so far of (d_u - pos)
-    best_v = INF  # min over v-portals seen so far of (d_v - pos)
-    while i < len(entries_u) or j < len(entries_v):
-        take_u = j >= len(entries_v) or (
-            i < len(entries_u) and entries_u[i][0] <= entries_v[j][0]
-        )
-        if take_u:
-            pos, d = entries_u[i]
-            i += 1
-            if best_v + d + pos < best:
-                best = best_v + d + pos
-            if d - pos < best_u:
-                best_u = d - pos
-        else:
-            pos, d = entries_v[j]
-            j += 1
-            if best_u + d + pos < best:
-                best = best_u + d + pos
-            if d - pos < best_v:
-                best_v = d - pos
-    return best

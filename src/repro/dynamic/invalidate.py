@@ -139,11 +139,21 @@ def touched_path_keys(
     Any such path belongs to an affected unit: path vertices are
     members of the residual they were peeled from, so a path containing
     both endpoints certifies both are in that unit's residual.  Only
-    the affected units' phases are scanned, in global unit order, so
-    keys come out in the same order a scan of every path would give.
+    the affected units' phases are scanned (:func:`units_path_keys`),
+    in global unit order, so keys come out in the same order a scan of
+    every path would give.
     """
+    return units_path_keys(tree, affected_units(tree, u, v), u, v)
+
+
+def units_path_keys(
+    tree: DecompositionTree, units: List[AffectedUnit], u: Vertex, v: Vertex
+) -> List[PathKey]:
+    """The keys of the paths of *units*' phases on which u and v are
+    consecutive, in unit order: :func:`touched_path_keys` for a caller
+    that holds ``affected_units(tree, u, v)`` already."""
     out: List[PathKey] = []
-    for node_id, phase_idx, _ in affected_units(tree, u, v):
+    for node_id, phase_idx, _ in units:
         phase = tree.nodes[node_id].separator.phases[phase_idx]
         for path_idx, path in enumerate(phase.paths):
             for a, b in zip(path, path[1:]):

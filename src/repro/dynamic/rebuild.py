@@ -27,9 +27,8 @@ epsilon))`` on the *same* decomposition tree.  Three facts carry it:
 The delta also travels: :func:`delta_to_dict` / :func:`delta_from_dict`
 give it a strict JSON wire form (shared by the journal and the serve
 ``DELTA`` op), and :func:`apply_delta_to_labels` replays one onto any
-label dict — replica stores apply the same delta the builder computed
-and land in the same state, whether it holds ``FlatLabel`` objects (a
-build) or ``VertexLabel`` objects (a load).
+``FlatLabel`` dict, a build's or a load's — replica stores apply the
+same delta the builder computed and land in the same state.
 """
 
 from __future__ import annotations
@@ -39,17 +38,12 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple, Union
+from typing import Dict, Hashable, List, Tuple
 
 from repro.core import flat as flat_core
 from repro.core.decomposition import PathKey
-from repro.core.flat import FlatLabel, apply_entry_changes, group_entry_changes
-from repro.core.labeling import (
-    INF,
-    DistanceLabeling,
-    PortalEntry,
-    VertexLabel,
-)
+from repro.core.flat import FlatLabel, group_entry_changes
+from repro.core.labeling import INF, DistanceLabeling, PortalEntry
 from repro.core.serialize import (
     SerializationError,
     decode_path_key,
@@ -60,7 +54,7 @@ from repro.core.serialize import (
 from repro.dynamic.invalidate import (
     EdgeUpdate,
     affected_units,
-    touched_path_keys,
+    units_path_keys,
 )
 from repro.obs import metrics, span
 from repro.util.errors import ReproError
@@ -327,7 +321,7 @@ def incremental_relabel(
         # Affected units and touched paths are properties of the tree
         # alone, so they are read off before the mutation.
         units = affected_units(tree, u, v)
-        touched = set(touched_path_keys(tree, u, v))
+        touched = set(units_path_keys(tree, units, u, v))
         cache = _dist_cache(labeling)
         flat_ctx = _flat_context(labeling)
 
@@ -431,18 +425,17 @@ def incremental_relabel(
 
 
 def apply_delta_to_labels(
-    labels: Dict[Vertex, Union[FlatLabel, VertexLabel]],
+    labels: Dict[Vertex, FlatLabel],
     delta: LabelDelta,
     require_vertices: bool = True,
 ) -> Tuple[int, int]:
     """Replay a delta onto a label dict; returns ``(changes, removals)``
     actually applied.
 
-    A ``FlatLabel`` is replaced by its
-    :meth:`~repro.core.flat.FlatLabel.with_changes` splice, a
-    ``VertexLabel`` is updated in place by
-    :func:`repro.core.flat.apply_entry_changes`; both give the same
-    entries in the same order.  With ``require_vertices`` (the default), a
+    Each touched label is replaced by its
+    :meth:`~repro.core.flat.FlatLabel.with_changes` splice, so a reader
+    holding the old label never sees a half-applied delta.  With
+    ``require_vertices`` (the default), a
     change naming a vertex the dict does not hold raises
     :class:`DeltaError` — the right behavior for a whole-graph store or
     a journal replay.  Sharded cluster stores pass ``False`` so a delta
@@ -461,10 +454,7 @@ def apply_delta_to_labels(
             if require_vertices:
                 raise DeltaError(f"delta names unknown vertex {vx!r}")
             continue
-        if isinstance(label, FlatLabel):
-            labels[vx], removed = label.with_changes(changes, removals)
-        else:
-            removed = apply_entry_changes(label.entries, changes, removals)
+        labels[vx], removed = label.with_changes(changes, removals)
         applied_removals += removed
         applied_changes += len(changes)
     return applied_changes, applied_removals

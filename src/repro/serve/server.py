@@ -760,7 +760,7 @@ class OracleServer:
 
     def _label(self, store: ShardedLabelStore, v: Vertex) -> dict:
         try:
-            label = store.label(v)
+            label = store.flat_label(v)
         except ShardNotOwned as exc:
             raise ProtocolError("stale_map", str(exc)) from None
         except GraphError as exc:

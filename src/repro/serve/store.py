@@ -10,8 +10,9 @@ across processes and runs (CRC-32 of the vertex's canonical wire
 encoding, not Python's salted ``hash``), so a future multi-process
 split serves exactly the shards this module reports.
 
-Labels are held in one form only, :class:`~repro.core.flat.FlatLabel`,
-and answered by :func:`~repro.core.flat.flat_estimate`.  A
+Labels are held in one form only, :class:`~repro.core.flat.FlatLabel`:
+DIST and BATCH are answered by :func:`~repro.core.flat.flat_estimate`,
+and the LABEL op encodes the same object.  A
 :class:`ShardedLabelStore` is fed by either codec, picked by sniffing
 the file:
 
@@ -21,9 +22,6 @@ the file:
   decoded lazily per lookup through a small LRU (see
   :mod:`repro.core.binfmt`); labels rewritten by deltas live in the
   overlay and win over the file.
-
-A ``VertexLabel`` is only built for the LABEL op, by
-:meth:`FlatLabel.to_label <repro.core.flat.FlatLabel.to_label>`.
 
 A :class:`StoreCatalog` maps store names to stores; the server loads
 one store per ``--labels`` file and routes requests by the optional
@@ -40,7 +38,6 @@ from typing import Union
 
 from repro.core.binfmt import BinaryLabelReader, is_binary_labels
 from repro.core.flat import FlatLabel, flat_estimate, group_entry_changes
-from repro.core.labeling import VertexLabel
 from repro.core.serialize import RemoteLabels, load_labeling, shard_key_bytes
 from repro.dynamic.rebuild import (
     Change,
@@ -155,14 +152,13 @@ class ShardedLabelStore:
         num_shards: int = DEFAULT_NUM_SHARDS,
         source: Optional[str] = None,
     ) -> "ShardedLabelStore":
-        """A ``/1``-style store: every label converted once, up front."""
+        """A ``/1``-style store: every loaded label held in the overlay."""
         store = cls(name, remote.epsilon, num_shards, source=source)
         for label in remote.labels.values():
-            flat = FlatLabel.from_label(label)
-            store._overlay[label.vertex] = flat
+            store._overlay[label.vertex] = label
             shard = store.shard_index(label.vertex)
             store._shard_labels[shard] += 1
-            store._shard_words[shard] += flat.words
+            store._shard_words[shard] += label.words
         return store
 
     @classmethod
@@ -240,10 +236,6 @@ class ShardedLabelStore:
                 return found
         raise GraphError(f"vertex {v!r} has no label in store {self.name!r}")
 
-    def label(self, v: Vertex) -> VertexLabel:
-        """The dict form, for the LABEL op (memoized by the FlatLabel)."""
-        return self.flat_label(v).to_label()
-
     def __contains__(self, v: Vertex) -> bool:
         return v in self._overlay or (
             self.reader is not None and v in self.reader
@@ -274,8 +266,8 @@ class ShardedLabelStore:
         Changes are grouped per vertex, so each touched label is
         replaced once by a copy (:meth:`FlatLabel.with_changes
         <repro.core.flat.FlatLabel.with_changes>`, never mutating the
-        old label or its memoized ``to_label`` object) and installed in
-        the overlay.  With
+        old label, which a reader may still hold) and installed in the
+        overlay.  With
         ``require_vertices``, a delta naming an unlabeled vertex is
         refused before anything is applied.
         """
@@ -493,8 +485,8 @@ class ClusterStoreView:
             raise ShardNotOwned(v, shard, self.cluster.node_id)
         return self.catalog.get(name)
 
-    def label(self, v: Vertex) -> VertexLabel:
-        return self._store_of(v).label(v)
+    def flat_label(self, v: Vertex) -> FlatLabel:
+        return self._store_of(v).flat_label(v)
 
     def __contains__(self, v: Vertex) -> bool:
         try:
@@ -505,9 +497,7 @@ class ClusterStoreView:
     def estimate(self, u: Vertex, v: Vertex) -> float:
         """The same Theorem-2 combine as a single store — both labels
         are fetched through shard routing first."""
-        return flat_estimate(
-            self._store_of(u).flat_label(u), self._store_of(v).flat_label(v)
-        )
+        return flat_estimate(self.flat_label(u), self.flat_label(v))
 
     def vertices(self) -> Iterator[Vertex]:
         for shard in sorted(self.cluster.owned):

@@ -99,11 +99,11 @@ class TestClusterViewDelta:
             holders = 0
             for view in views.values():
                 try:
-                    served = view.label(v)
+                    served = view.flat_label(v)
                 except ShardNotOwned:
                     continue
                 holders += 1
-                assert served.entries == label.entries()
+                assert served.entries() == label.entries()
             assert holders == 2  # replication
 
     def test_epoch_sequence_is_per_view(self, remote_labels):

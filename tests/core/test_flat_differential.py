@@ -3,9 +3,9 @@
 The reference is the dict build of ``tests/reference_labeling.py``:
 every unit through ``batched_dijkstra`` and ``epsilon_cover_portals_at``
 as ``(vertex, key, portals)`` triples, merged into one ``VertexLabel``
-dict per vertex, and combined by ``estimate_distance``.  An update is
+dict per vertex, and combined by ``dict_estimate``.  An update is
 applied to it by a from-scratch rebuild.  Against that reference, byte
-for byte:
+for byte (the reference dumps through ``ReferenceLabeling.flat``):
 
 * construction — the production build's ``dump_labeling`` JSON text
   and packed ``/2`` blob, across **all five separator engines**, serial
@@ -45,8 +45,7 @@ from repro.core import (
 )
 from repro.core import flat as flat_core
 from repro.core.binfmt import pack_labeling
-from repro.core.labeling import estimate_distance
-from repro.dynamic import apply_delta_to_labels, incremental_relabel
+from repro.dynamic import incremental_relabel
 from repro.dynamic.rebuild import delta_from_dict, delta_to_dict
 from repro.generators import (
     grid_2d,
@@ -62,7 +61,12 @@ from repro.serve.protocol import encode_response, estimate_field, ok_response
 
 from tests.dynamic.test_rebuild import random_reweight
 from tests.serve.conftest import rpc
-from tests.reference_labeling import reference_build_labeling, reference_relabel
+from tests.reference_labeling import (
+    apply_delta_to_dict_labels,
+    dict_estimate,
+    reference_build_labeling,
+    reference_relabel,
+)
 from tests.serve.test_server import wire
 
 # One graph family per engine, matched to what the engine is for:
@@ -120,7 +124,7 @@ def reference_lines(ref, pairs):
     :func:`query_requests`, encoded from the reference estimates."""
     labels = ref.labels
     fields = [
-        estimate_field(estimate_distance(labels[u], labels[v]))
+        estimate_field(dict_estimate(labels[u], labels[v]))
         for u, v in pairs
     ]
     lines = [
@@ -190,13 +194,13 @@ def updates_in_lockstep(prod, ref, count, seed):
         update = random_reweight(rng, prod.graph)
         delta = incremental_relabel(prod, update)
         replayed = reference_relabel(ref, update)
-        apply_delta_to_labels(replayed, delta_from_dict(delta_to_dict(delta)))
+        apply_delta_to_dict_labels(replayed, delta_from_dict(delta_to_dict(delta)))
         assert list(replayed) == list(ref.labels)
         for v, label in ref.labels.items():
             assert list(replayed[v].entries.items()) == list(
                 label.entries.items()
             ), v
-        assert dump_labeling(prod) == dump_labeling(ref)
+        assert dump_labeling(prod) == dump_labeling(ref.flat())
         delta.epoch = epoch
         yield delta
 
@@ -248,17 +252,17 @@ class TestConstructionByteIdentity:
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
     def test_json_and_binary_dumps_identical(self, make_graph, make_engine):
         _, _, ref, prod = _build_pair(make_graph, make_engine)
-        assert dump_labeling(prod) == dump_labeling(ref)
+        assert dump_labeling(prod) == dump_labeling(ref.flat())
         for num_shards in (1, 4):
             assert pack_labeling(prod, num_shards=num_shards) == pack_labeling(
-                ref, num_shards=num_shards
+                ref.flat(), num_shards=num_shards
             )
 
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
     def test_parallel_flat_build_identical(self, make_graph, make_engine):
         graph, tree, ref, _ = _build_pair(make_graph, make_engine)
         par = build_labeling(graph, tree, epsilon=EPSILON, parallel=2)
-        assert dump_labeling(par) == dump_labeling(ref)
+        assert dump_labeling(par) == dump_labeling(ref.flat())
 
     @pytest.mark.parametrize("make_graph, make_engine", ENGINE_CASES)
     def test_estimates_bit_equal_on_all_pairs(self, make_graph, make_engine):
@@ -267,7 +271,7 @@ class TestConstructionByteIdentity:
         verts = sorted(graph.vertices(), key=repr)
         for u in verts:
             for v in verts:
-                a = estimate_distance(ref.labels[u], ref.labels[v])
+                a = dict_estimate(ref.labels[u], ref.labels[v])
                 b = flat_estimate(flats[u], flats[v])
                 # Bitwise: repr distinguishes every finite float, and
                 # inf == inf covers the unreachable case.
@@ -371,12 +375,12 @@ class TestDeltaByteIdentity:
                 store.apply_delta(delta)
                 for u, v in pairs:
                     a = store.estimate(u, v)
-                    b = estimate_distance(ref.labels[u], ref.labels[v])
+                    b = dict_estimate(ref.labels[u], ref.labels[v])
                     assert repr(a) == repr(b), (u, v, a, b)
             # The overlay holds exactly the rewritten labels, and every
             # label (overlay or mmap) reads back as the reference's.
             for v, label in ref.labels.items():
-                assert store.label(v).entries == label.entries
+                assert store.flat_label(v).entries() == label.entries
             assert store.total_words == sum(
                 label.words for label in ref.labels.values()
             )

@@ -4,7 +4,8 @@
 by the recipe in :func:`golden_recipe` (Delaunay, n=64, seed=77,
 epsilon=0.25) with the dict reference build and committed.  The
 reference build (``[dict]``: ``tests/reference_labeling.py``, one
-``VertexLabel`` dict per vertex) and the production build (``[flat]``)
+``VertexLabel`` dict per vertex, dumped through ``ReferenceLabeling.flat``)
+and the production build (``[flat]``)
 must, on every future revision, rebuild those files **byte-for-byte**
 — any drift in separator choice, portal selection, float arithmetic,
 serialization order, or the ``/2`` record layout fails here first,
@@ -31,10 +32,9 @@ from repro.core import (
 )
 from repro.core.binfmt import BinaryLabelReader
 from repro.core.flat import flat_estimate
-from repro.core.labeling import estimate_distance
 from repro.generators import random_delaunay_graph
 from repro.serve import ShardedLabelStore
-from tests.reference_labeling import reference_build_labeling
+from tests.reference_labeling import dict_estimate, dict_label, reference_build_labeling
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN_JSON = DATA / "golden_n64.labels.json"
@@ -50,9 +50,10 @@ def golden_recipe():
 @pytest.fixture(params=["dict", "flat"])
 def build(request):
     """The reference build or the production build."""
-    return {"dict": reference_build_labeling, "flat": build_labeling}[
-        request.param
-    ]
+    return {
+        "dict": lambda *args, **kwargs: reference_build_labeling(*args, **kwargs).flat(),
+        "flat": build_labeling,
+    }[request.param]
 
 
 class TestGoldenReproduction:
@@ -75,13 +76,15 @@ class TestGoldenServing:
         # Both stores, loaded from the *committed* artifacts, agree on
         # every pair of a deterministic sample with an offline combine
         # of the same labels: the dict kernel over the JSON fixture's
-        # VertexLabels, or the flat kernel over the /2 fixture's
+        # labels in dict form, or the flat kernel over the /2 fixture's
         # records decoded straight off the file.
         remote = load_labeling(GOLDEN_JSON.read_text())
         reader = BinaryLabelReader(GOLDEN_BIN)
         if reference == "dict":
             def want_of(u, v):
-                return estimate_distance(remote.label(u), remote.label(v))
+                return dict_estimate(
+                    dict_label(remote.label(u)), dict_label(remote.label(v))
+                )
         else:
             def want_of(u, v):
                 return flat_estimate(reader.get_flat(u), reader.get_flat(v))
@@ -113,16 +116,13 @@ class TestGoldenBinaryRecords:
                 flat = reader.get_flat(v)
                 record = bytes(reader._buf[slice(*reader._record_span(record_id))])
                 assert encode_label_binary(flat) == record
-                assert encode_label_binary(flat.to_label()) == (
-                    encode_label_binary(reader.get(v))
-                )
                 n += 1
             assert n == 64
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     graph, tree = golden_recipe()
-    labeling = reference_build_labeling(graph, tree, epsilon=0.25)
+    labeling = reference_build_labeling(graph, tree, epsilon=0.25).flat()
     GOLDEN_JSON.write_text(dump_labeling(labeling))
     dump_labeling(labeling, GOLDEN_BIN, codec="binary", num_shards=4)
     print(f"rewrote {GOLDEN_JSON} and {GOLDEN_BIN}")

@@ -23,13 +23,23 @@ from repro.core.binfmt import (
     encode_vertex_binary,
     pack_labeling,
 )
-from repro.core.flat import FlatLabel, apply_entry_changes
-from repro.core.labeling import VertexLabel
-from repro.core.serialize import RemoteLabels, SerializationError, dump_labeling
+from repro.core.flat import FlatLabel
+from repro.core.serialize import (
+    RemoteLabels,
+    SerializationError,
+    decode_label,
+    dump_labeling,
+)
 from repro.dynamic import incremental_relabel
 from repro.generators import grid_2d, random_delaunay_graph
 from tests.dynamic.test_rebuild import random_reweight
-from tests.reference_labeling import reference_build_labeling
+from tests.reference_labeling import (
+    VertexLabel,
+    apply_entry_changes,
+    dict_label,
+    flat_label,
+    reference_build_labeling,
+)
 
 _HEADER = struct.Struct("<iiiI")
 _PORTAL = struct.Struct("<dd")
@@ -59,7 +69,7 @@ def entries_region(label) -> bytes:
     """The entries region of *label*'s record, by the reference writer."""
     head = bytearray()
     encode_vertex_binary(label.vertex, head)
-    return reference_record(label.to_label())[len(head) + 4 :]
+    return reference_record(dict_label(label))[len(head) + 4 :]
 
 
 def assert_runs_are_records(labels):
@@ -73,7 +83,7 @@ def assert_pack_matches_reference_writer(labeling, reference):
     blob = pack_labeling(labeling, num_shards=4)
     records = b"".join(reference_record(lab) for lab in reference.labels.values())
     assert blob[len(blob) - len(records) :] == records
-    assert blob == pack_labeling(reference, num_shards=4)
+    assert blob == pack_labeling(reference.flat(), num_shards=4)
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +103,12 @@ class TestRunsAreRecordBodies:
 
     def test_from_entries(self, case):
         _, _, reference = case
-        labels = [FlatLabel.from_label(lab) for lab in reference.labels.values()]
+        labels = [flat_label(lab) for lab in reference.labels.values()]
         assert_runs_are_records(labels)
 
     def test_decoded_records(self, case):
         _, _, reference = case
-        blob = pack_labeling(reference, num_shards=4)
+        blob = pack_labeling(reference.flat(), num_shards=4)
         with BinaryLabelReader(blob) as reader:
             labels = [reader.get_flat(v) for v in reader.iter_vertices()]
             for record_id, label in enumerate(labels):
@@ -112,7 +122,7 @@ class TestRunsAreRecordBodies:
 
     def test_delta_apply(self, case):
         _, _, reference = case
-        label = FlatLabel.from_label(next(iter(reference.labels.values())))
+        label = flat_label(next(iter(reference.labels.values())))
         first, *rest = label.keys
         entries = label.entries()
         removed = apply_entry_changes(
@@ -180,16 +190,16 @@ class TestPackChecksOnFlatLabels:
         with pytest.raises(SerializationError, match=match):
             FlatLabel.from_entries("x", bad)
         with pytest.raises(SerializationError, match=match):
-            self._pack(VertexLabel("x", bad))
+            decode_label({"v": "x", "e": {"2147483648:0:0": [[0.0, 1.0]]}})
 
     def test_header_slot_reading_as_nan_is_not_a_portal(self):
         # Phase -1 fills a header slot's exponent bits: as a double it
         # is NaN, but it is no portal, so the pack goes through.
         lab = VertexLabel(5, {(0, -1, 0): [(0.0, 1.0)], (1, 0, 2): [(2.0, 3.0)]})
-        label = FlatLabel.from_label(lab)
+        label = flat_label(lab)
         assert math.isnan(label.runs[0]) or math.isnan(label.runs[1])
         blob = self._pack(label)
-        assert BinaryLabelReader(blob).get(5) == lab
+        assert dict_label(BinaryLabelReader(blob).get_flat(5)) == lab
 
     def test_duplicate_canonical_vertex_refused(self):
         a = FlatLabel.from_entries(1, {(0, 0, 0): [(0.0, 1.0)]})

@@ -8,6 +8,7 @@ from repro.graphs import dijkstra
 from repro.util.errors import GraphError
 
 from tests.conftest import family_graphs, pair_sample
+from tests.reference_labeling import dict_estimate, dict_label
 
 
 def stretch_check(graph, labeling, epsilon, pairs):
@@ -60,13 +61,12 @@ class TestDistributedForm:
         lv = labeling.label((4, 4))
         assert flat_estimate(lu, lv) >= 8.0 - 1e-9
 
-    def test_estimate_distance_takes_either_label_form(self, small_grid):
+    def test_estimate_distance_matches_dict_combine(self, small_grid):
         labeling = build_labeling(small_grid, build_decomposition(small_grid))
         for u, v in [((0, 0), (4, 4)), ((1, 3), (3, 0)), ((2, 2), (2, 2))]:
             lu, lv = labeling.label(u), labeling.label(v)
-            want = estimate_distance(lu.to_label(), lv.to_label())
+            want = dict_estimate(dict_label(lu), dict_label(lv))
             assert repr(estimate_distance(lu, lv)) == repr(want)
-            assert repr(estimate_distance(lu, lv.to_label())) == repr(want)
 
     def test_missing_vertex_raises(self, small_grid):
         labeling = build_labeling(small_grid, build_decomposition(small_grid))

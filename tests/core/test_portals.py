@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from repro.core import claim1_landmarks, epsilon_cover_portals, min_portal_pair
+from repro.core import claim1_landmarks, epsilon_cover_portals
+from tests.reference_labeling import min_portal_pair
 from repro.core.portals import epsilon_cover_portals_at
 
 INF = float("inf")

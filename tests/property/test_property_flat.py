@@ -8,7 +8,7 @@ Three families of invariants, the first two over randomized graphs
   and per-vertex ``neighbors`` agrees with the source graph.
 * **Kernel equivalence** — ``flat_estimate`` over the production
   build's ``FlatLabel`` objects is bit-equal to the reference
-  ``estimate_distance`` over the dict reference build
+  ``dict_estimate`` over the dict reference build
   (``tests/reference_labeling.py``) on every queried pair,
   including unreachable (infinite) answers and labels with no entries
   at all.
@@ -26,8 +26,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSRGraph, FlatLabel, build_decomposition, build_labeling, flat_estimate
-from repro.core.flat import apply_entry_changes
-from repro.core.labeling import VertexLabel, estimate_distance
 from repro.core.serialize import SerializationError
 from repro.generators import (
     gnp_random_graph,
@@ -35,7 +33,14 @@ from repro.generators import (
     preferential_attachment_graph,
     random_delaunay_graph,
 )
-from tests.reference_labeling import reference_build_labeling
+from tests.reference_labeling import (
+    VertexLabel,
+    apply_entry_changes,
+    dict_estimate,
+    dict_label,
+    flat_label,
+    reference_build_labeling,
+)
 
 SLOW = settings(
     max_examples=12,
@@ -136,7 +141,7 @@ class TestKernelEquivalence:
         for _ in range(40):
             u = verts[rng.randrange(len(verts))]
             v = verts[rng.randrange(len(verts))]
-            a = estimate_distance(reference.labels[u], reference.labels[v])
+            a = dict_estimate(reference.labels[u], reference.labels[v])
             b = flat_estimate(flats[u], flats[v])
             assert repr(a) == repr(b), (u, v, a, b)
 
@@ -149,16 +154,16 @@ class TestKernelEquivalence:
         # kernels must answer inf against every real vertex, and the
         # flat round trip must preserve the emptiness.
         lonely = VertexLabel("__lonely__", {})
-        lonely_flat = FlatLabel.from_label(lonely)
+        lonely_flat = flat_label(lonely)
         assert lonely_flat.num_portals == 0
-        assert lonely_flat.to_label().entries == {}
+        assert lonely_flat.entries() == {}
         for v, lab in labeling.labels.items():
-            a = estimate_distance(lonely, lab)
-            b = flat_estimate(lonely_flat, FlatLabel.from_label(lab))
+            a = dict_estimate(lonely, lab)
+            b = flat_estimate(lonely_flat, flat_label(lab))
             assert a == b == float("inf")
         # Two empty labels at the same vertex: distance zero by the
         # u == v short-circuit, in both kernels.
-        assert estimate_distance(lonely, lonely) == 0.0
+        assert dict_estimate(lonely, lonely) == 0.0
         assert flat_estimate(lonely_flat, lonely_flat) == 0.0
 
     @SLOW
@@ -167,7 +172,7 @@ class TestKernelEquivalence:
         tree = build_decomposition(graph)
         labeling = reference_labeling(graph, tree, 0.25)
         for lab in labeling.labels.values():
-            back = FlatLabel.from_label(lab).to_label()
+            back = dict_label(flat_label(lab))
             assert back.vertex == lab.vertex
             assert back.entries == lab.entries
             assert back.words == lab.words

@@ -5,7 +5,8 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import epsilon_cover_portals, min_portal_pair
+from repro.core import epsilon_cover_portals
+from tests.reference_labeling import min_portal_pair
 
 INF = float("inf")
 

@@ -35,8 +35,8 @@ def make_world(updates=2, seed=37):
     graph = grid_2d(5, weight_range=(1.0, 5.0), seed=4)
     tree = build_decomposition(graph)
     labeling = build_labeling(graph, tree, epsilon=0.25)
-    # Deep snapshot: incremental_relabel mutates VertexLabel objects in
-    # place, so the store must hold its own copies of the pristine ones.
+    # The store holds the pristine labels, loaded from a dump, while
+    # incremental_relabel replaces the labeling's own.
     pristine = load_labeling(dump_labeling(labeling))
     catalog = StoreCatalog()
     catalog.add(ShardedLabelStore.from_remote("grid", pristine, num_shards=4))

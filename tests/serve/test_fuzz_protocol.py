@@ -181,13 +181,15 @@ class TestParseNeverExplodes:
 def _labels_seed_payloads():
     """Well-formed labeling payloads in both codecs, as bytes, to
     mutate.  Built once per call: (json_bytes, binary_bytes)."""
-    from repro.core.labeling import VertexLabel
+    from repro.core.flat import FlatLabel
     from repro.core.serialize import dump_labeling
 
     remote = RemoteLabels(
         0.25,
         {
-            v: VertexLabel(v, {(i, 0, 0): [(0.5 * i, 1.0 + i)] for i in range(3)})
+            v: FlatLabel.from_entries(
+                v, {(i, 0, 0): [(0.5 * i, 1.0 + i)] for i in range(3)}
+            )
             for v in [0, 1, "s", (2, 3.5)]
         },
     )
@@ -266,11 +268,15 @@ class TestLabelsFileFuzz:
         import struct
 
         from repro.core.binfmt import BinaryLabelReader, pack_labeling
-        from repro.core.labeling import VertexLabel
+        from repro.core.flat import FlatLabel
 
         entries = {(0, 0, 0): [(0.0, 1.0)]}
         remote = RemoteLabels(
-            0.25, {5: VertexLabel(5, entries), 5.5: VertexLabel(5.5, entries)}
+            0.25,
+            {
+                5: FlatLabel.from_entries(5, entries),
+                5.5: FlatLabel.from_entries(5.5, entries),
+            },
         )
         blob = bytearray(pack_labeling(remote, num_shards=1))
         # Forge record 1's vertex (float 5.5, 9 bytes) into int 5.

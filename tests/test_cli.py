@@ -106,6 +106,17 @@ class TestLabelsAndQuery:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_query_malformed_portal_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"format":"repro-distance-labels/1","epsilon":0.25,'
+            '"labels":[{"v":1,"e":{"0:0:0":[[1]]}}]}'
+        )
+        assert main(["query", str(bad), "1", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "holds portal [1]" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_query_wrong_format_labels_file(self, tmp_path, capsys):
         bad = tmp_path / "other.json"
         bad.write_text(json.dumps({"format": "something-else/9", "labels": []}))
@@ -200,6 +211,36 @@ class TestPack:
             ["pack", str(labels_json), str(out), "--to", "json", "--verify"]
         ) == 0
         assert out.read_bytes() == labels_json.read_bytes()
+
+    @pytest.mark.parametrize("codec", ["binary", "json"])
+    def test_verify_catches_a_changed_portal(
+        self, labels_json, tmp_path, monkeypatch, capsys, codec
+    ):
+        # A writer that moves one portal distance keeps every vertex and
+        # key in place, so only a compare of label content catches it.
+        from repro import cli
+        from repro.core.flat import FlatLabel
+        from repro.core.serialize import RemoteLabels
+
+        real_dump = cli.dump_labeling
+
+        def tampering_dump(labeling, path, **kwargs):
+            labels = dict(labeling.labels)
+            v, label = next((v, l) for v, l in labels.items() if l.num_portals)
+            entries = label.entries()
+            key = next(k for k, portals in entries.items() if portals)
+            pos, dist = entries[key][0]
+            entries[key][0] = (pos, dist + 1.0)
+            labels[v] = FlatLabel.from_entries(v, entries)
+            return real_dump(RemoteLabels(labeling.epsilon, labels), path, **kwargs)
+
+        monkeypatch.setattr(cli, "dump_labeling", tampering_dump)
+        out = tmp_path / f"tampered.{codec}"
+        assert main(
+            ["pack", str(labels_json), str(out), "--to", codec, "--verify"]
+        ) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "verification failed" in err
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         assert main(
