@@ -19,8 +19,8 @@ lookup structure on the side.
 File layout (all integers little-endian)::
 
     header (80 bytes)
-      0   8s   magic  b"RDLBLv2\\n"   (the /2 format stamp)
-      8   u32  reserved (0)
+      0   8s   magic  b"RDLBLc2\\n"   (the /2 format stamp)
+      8   u32  layout version (FORMAT_VERSION)
       12  u32  num_shards
       16  u64  num_labels
       24  f64  epsilon
@@ -39,12 +39,19 @@ File layout (all integers little-endian)::
     offset index — (num_labels+1) x u64 record byte offsets relative to
       records_off; record i spans [off[i], off[i+1])
     records — one per label, in SOURCE order (so /2 -> /1 reproduces the
-      original JSON byte-for-byte)::
+      original JSON byte-for-byte), each its label's three columns::
 
         vertex   tagged encoding (below)
-        u32      num_entries
-        entries  each: i32 node_id, i32 phase_idx, i32 path_idx,
-                 u32 num_portals, num_portals x (f64 pos, f64 dist)
+        u32      K, the number of path keys
+        i64      codes[K]   node_id << 32 | phase_idx << 16 | path_idx
+        u32      offs[K+1]  portal offsets: key k owns portals
+                            offs[k] .. offs[k+1]; offs[0] = 0
+        f64      portals[offs[K]] x (pos, dist), ascending pos per key
+
+Files of the retired row layout (magic ``b"RDLBLv2\\n"``, entry headers
+inline among the portals) are refused with a
+:class:`~repro.core.serialize.SerializationError` that names ``repro
+pack``: re-pack them from their ``/1`` JSON.
 
 Vertex encodings are *canonical*: numeric vertices are reduced with
 :func:`repro.core.serialize.canonical_vertex` (integral floats become
@@ -74,7 +81,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 import numpy as _np
 
-from repro.core.flat import ENTRY_HEADER, FlatLabel
+from repro.core.flat import FlatLabel
 from repro.core.serialize import (
     SerializationError,
     canonical_vertex,
@@ -84,6 +91,7 @@ from repro.core.serialize import (
 Vertex = Hashable
 
 __all__ = [
+    "FORMAT_VERSION",
     "MAGIC",
     "BinaryLabelReader",
     "decode_vertex_binary",
@@ -96,19 +104,27 @@ __all__ = [
 ]
 
 #: First 8 bytes of every /2 file — the binary twin of the JSON
-#: ``"format": "repro-distance-labels/2"`` stamp.
-MAGIC = b"RDLBLv2\n"
+#: ``"format": "repro-distance-labels/2"`` stamp.  It changed with the
+#: columnar records, so readers that predate them (and ignore the
+#: version field) refuse the files instead of misreading them.
+MAGIC = b"RDLBLc2\n"
+
+#: The magic of the retired row-layout records, kept only to name them
+#: when refusing them.
+_ROW_MAGIC = b"RDLBLv2\n"
+
+#: The header's record-layout version; a reader refuses any other.
+FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<8sIIQdQQQQQQ")
 HEADER_BYTES = _HEADER.size  # 80
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_SPAN = struct.Struct("<QQ")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _HASH_ENTRY = struct.Struct("<II")
-_ENTRY_KEY = ENTRY_HEADER  # node_id, phase_idx, path_idx, num_portals
-_PORTAL = struct.Struct("<dd")  # as wide as _ENTRY_KEY: FlatLabel's slot layout
 
 _TAG_INT = 0x01
 _TAG_FLOAT = 0x02
@@ -119,8 +135,8 @@ _TAG_BIGINT = 0x05
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
-#: A ``FlatLabel``'s portal slots are native doubles, so its runs are a
-#: record's entries region byte for byte only on little-endian hosts.
+#: A ``FlatLabel``'s columns are native arrays, so they are a record's
+#: bytes verbatim only on little-endian hosts.
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
@@ -210,46 +226,43 @@ def decode_vertex_binary(buf, pos: int) -> Tuple[Vertex, int]:
 
 # -- label records --------------------------------------------------------
 
-def _entries_region(label: FlatLabel) -> bytes:
-    """The record's entries region: ``runs`` itself, whose header slots
-    already hold the record's entry headers."""
-    runs = label.runs
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        # Header slots hold record bytes already; portals are native.
-        offs, out = label.offs, bytearray()
-        for k in range(len(offs) - 1):
-            out += runs[2 * offs[k] : 2 * offs[k] + 2].tobytes()
-            for i in range(2 * offs[k] + 2, 2 * offs[k + 1], 2):
-                out += _PORTAL.pack(runs[i], runs[i + 1])
-        return bytes(out)
-    return runs.tobytes()
+def _from_little_endian(col: array) -> array:
+    """A copy of *col* whose items are the values its bytes hold as
+    little-endian items (on big-endian hosts ``frombytes`` reads them
+    byte-swapped)."""
+    items = struct.unpack(f"<{len(col)}{col.typecode}", col.tobytes())
+    return array(col.typecode, items)
 
 
-def _record_head(label: FlatLabel) -> bytes:
-    """The record's vertex field and entry count."""
+def _columns(label: FlatLabel) -> list:
+    """The record's key count and its label's three columns, as the
+    buffers a record is joined from (the arrays themselves on
+    little-endian hosts)."""
+    columns = [label.codes, label.offs, label.runs]
+    if not _LITTLE_ENDIAN:
+        columns = [struct.pack(f"<{len(c)}{c.typecode}", *c) for c in columns]
+    return [_U32.pack(len(label.codes)), *columns]
+
+
+def _vertex_field(label: FlatLabel) -> bytes:
     out = bytearray()
     encode_vertex_binary(label.vertex, out)
-    out += _U32.pack(len(label.offs) - 1)
     return bytes(out)
 
 
-#: Records joined per vectorised finite check in :func:`pack_labeling`.
+#: Labels whose portals are joined per vectorised finite check in
+#: :func:`pack_labeling`.
 _FINITE_CHUNK = 512
 
 
-def _check_portals_finite(labels: List[FlatLabel], regions: List[bytes]) -> None:
-    """Refuse a non-finite portal value in any of *labels*, whose
-    entries regions are *regions*.
-
-    A vectorised test over the slots of :data:`_FINITE_CHUNK` regions
-    at a time (so no full-size copy is joined) decides the common case.
-    A header slot can read as a non-finite double (a negative phase
-    fills the exponent bits), so when the test trips, a scan that
-    skips header slots decides, naming the first offending entry.
-    """
-    for lo in range(0, len(regions), _FINITE_CHUNK):
-        chunk = b"".join(regions[lo : lo + _FINITE_CHUNK])
-        if not _np.isfinite(_np.frombuffer(chunk, dtype="<f8")).all():
+def _check_portals_finite(labels: List[FlatLabel]) -> None:
+    """Refuse a non-finite portal value in any of *labels*, naming the
+    first offending vertex and key.  A vectorised test over the portals
+    of :data:`_FINITE_CHUNK` labels at a time (so no full-size copy is
+    joined) decides the common case."""
+    for lo in range(0, len(labels), _FINITE_CHUNK):
+        chunk = b"".join([label.runs for label in labels[lo : lo + _FINITE_CHUNK]])
+        if not _np.isfinite(_np.frombuffer(chunk, dtype=_np.float64)).all():
             break
     else:
         return
@@ -267,69 +280,63 @@ def _check_portals_finite(labels: List[FlatLabel], regions: List[bytes]) -> None
 def encode_label_binary(label: FlatLabel) -> bytes:
     """One label as a /2 record.
 
-    Entry order is the label's storage order, so a /1 -> /2 -> /1
-    round trip reproduces the original JSON byte-for-byte.  Non-finite
+    Key order is the label's storage order, so a /1 -> /2 -> /1 round
+    trip reproduces the original JSON byte-for-byte.  Non-finite
     portal distances are a bug upstream of serialization (the wire
     protocol forbids them) and raise here, same as the JSON codec.
     """
-    region = _entries_region(label)
-    _check_portals_finite([label], [region])
-    return _record_head(label) + region
+    _check_portals_finite([label])
+    return b"".join([_vertex_field(label), *_columns(label)])
 
 
-def _decode_label_flat(buf, start: int, end: int, memo: bool = True):
-    """Decode the record spanning ``buf[start:end]`` straight into a
-    :class:`repro.core.flat.FlatLabel` — no per-entry dict, no key or
-    portal tuples, no per-key merge state (a resident label, *memo*,
-    builds that on first use; a churned one never does).
+def _decode_label_flat(buf, vertex, pos: int, end: int, memo: bool = True):
+    """The :class:`repro.core.flat.FlatLabel` of *vertex* whose record
+    body (key count and columns) spans ``buf[pos:end]``: one
+    ``frombytes`` per column and one ``dict(zip(...))`` for the code
+    index, no per-key loop.  A resident label (*memo*) builds its merge
+    state on first use; a churned one never does.
 
-    An entry header is exactly one portal wide, so the entries region
-    *is* the label's slot layout: one ``frombytes`` copies it whole,
-    header slots included, and one pass reads the little-endian entry
-    headers back out of that copy.  Key codes are
-    :func:`repro.core.flat.encode_path_key`'s expression on the i32
-    fields, which are in its range by construction.  On big-endian
-    hosts the portal slots are then rewritten as native doubles.
+    The offsets must run from 0 up, without a step down, to the portal
+    column's length, and no code may repeat: a record that breaks
+    either raises, so no label holds a run that overlaps another key's.
     """
-    vertex, pos = decode_vertex_binary(buf, start)
     try:
-        (num_entries,) = _U32.unpack_from(buf, pos)
+        (num_keys,) = _U32.unpack_from(buf, pos)
     except struct.error:
         raise SerializationError(
             f"truncated label record for vertex {vertex!r}"
         ) from None
-    body = pos + 4
-    slot = _PORTAL.size
-    num_slots = max(end - body, 0) // slot
+    at_offs = pos + 4 + 8 * num_keys
+    at_runs = at_offs + 4 * (num_keys + 1)
+    if at_runs > end:
+        raise SerializationError(f"truncated label record for vertex {vertex!r}")
+    codes = array("q")
+    codes.frombytes(buf[pos + 4 : at_offs])
+    offs = array("I")
+    offs.frombytes(buf[at_offs:at_runs])
+    if not _LITTLE_ENDIAN:
+        codes, offs = _from_little_endian(codes), _from_little_endian(offs)
+    if offs[0] or sorted(offs) != offs.tolist():
+        raise SerializationError(
+            f"label record for vertex {vertex!r} has malformed portal offsets"
+        )
+    stray = end - at_runs - 16 * offs[-1]
+    if stray < 0:
+        raise SerializationError(f"truncated label record for vertex {vertex!r}")
+    if stray:
+        raise SerializationError(
+            f"label record for vertex {vertex!r} has {stray} stray bytes"
+        )
     runs = array("d")
-    runs.frombytes(buf[body : body + slot * num_slots])
-    unpack_entry = _ENTRY_KEY.unpack_from
-    index: Dict[int, int] = {}
-    offs: List[int] = []
-    s = 0
-    for k in range(num_entries):
-        if s >= num_slots:
-            break
-        node_id, phase_idx, path_idx, num_portals = unpack_entry(runs, slot * s)
-        offs.append(s)
-        s += 1 + num_portals
-        index[(node_id << 64) + (phase_idx << 32) + path_idx] = k
-    offs.append(s)
-    if len(offs) != num_entries + 1 or s > num_slots:
+    runs.frombytes(buf[at_runs:end])
+    if not _LITTLE_ENDIAN:
+        runs = _from_little_endian(runs)
+    index = dict(zip(codes, range(num_keys)))
+    if len(index) != num_keys:
         raise SerializationError(
-            f"truncated label record for vertex {vertex!r}"
+            f"label record for vertex {vertex!r} repeats a path key"
         )
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        region = runs.tobytes()
-        for k in range(num_entries):
-            for i in range(2 * offs[k] + 2, 2 * offs[k + 1], 2):
-                runs[i], runs[i + 1] = _PORTAL.unpack_from(region, 8 * i)
-    pos = body + slot * s
-    if pos != end:
-        raise SerializationError(
-            f"label record for vertex {vertex!r} has {end - pos} stray bytes"
-        )
-    return FlatLabel(vertex, offs, runs, index, memo=memo)
+    return FlatLabel(vertex, codes, offs, runs, index, memo=memo)
 
 
 # -- writer ---------------------------------------------------------------
@@ -341,7 +348,7 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
     Records keep the labeling's own order; the shard directory and hash
     index are layered on the side so the mmap reader can route and
     binary-search without touching the records region.  Each record is
-    its vertex, its entry count and its label's ``runs`` verbatim.
+    its vertex, its key count and its label's three columns verbatim.
     """
     if num_shards < 1:
         raise SerializationError(f"num_shards must be >= 1, got {num_shards}")
@@ -350,8 +357,7 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
         raise SerializationError(f"non-finite epsilon {epsilon!r}")
     labels: List[FlatLabel] = list(labeling.labels.values())
 
-    heads: List[bytes] = []
-    regions: List[bytes] = []
+    records: list = []
     offsets = [0]
     seen: Dict[Vertex, int] = {}
     total_words = 0
@@ -365,11 +371,13 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
                 f"duplicate label for vertex {label.vertex!r}"
             )
         seen[canon] = record_id
-        head = _record_head(label)
-        region = _entries_region(label)
-        heads.append(head)
-        regions.append(region)
-        offsets.append(offsets[-1] + len(head) + len(region))
+        head = _vertex_field(label)
+        records.append(head)
+        records += _columns(label)
+        offsets.append(
+            offsets[-1] + len(head) + 4 + 12 * len(label.codes) + 4
+            + 16 * label.offs[-1]
+        )
         key = shard_key_bytes(canon)
         crc = zlib.crc32(key)
         shard = crc % num_shards
@@ -377,7 +385,7 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
         total_words += words
         shard_words[shard] += words
         index_rows.append((shard, crc, key, record_id))
-    _check_portals_finite(labels, regions)
+    _check_portals_finite(labels)
 
     index_rows.sort(key=lambda row: (row[0], row[1], row[2]))
     bounds = [0] * (num_shards + 1)
@@ -405,7 +413,7 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
     file_size = records_off + offsets[-1]
     header = _HEADER.pack(
         MAGIC,
-        0,
+        FORMAT_VERSION,
         num_shards,
         len(labels),
         epsilon,
@@ -416,7 +424,6 @@ def pack_labeling(labeling, num_shards: int = 8) -> bytes:
         total_words,
         file_size,
     )
-    records = [part for pair in zip(heads, regions) for part in pair]
     return b"".join(
         [header, bytes(shard_dir), bytes(hash_idx), bytes(offset_idx), *records]
     )
@@ -432,8 +439,10 @@ def write_labeling_binary(
 
 
 def is_binary_labels(source: Union[bytes, bytearray, memoryview]) -> bool:
-    """True when *source* starts with the /2 magic."""
-    return bytes(source[: len(MAGIC)]) == MAGIC
+    """True when *source* starts with a /2 magic, the retired row
+    layout's included (so that the reader, not the JSON parser, refuses
+    such a file)."""
+    return bytes(source[: len(MAGIC)]) in (MAGIC, _ROW_MAGIC)
 
 
 # -- mmap reader ----------------------------------------------------------
@@ -486,7 +495,7 @@ class BinaryLabelReader:
             )
         (
             magic,
-            _reserved,
+            version,
             self.num_shards,
             self.num_labels,
             self.epsilon,
@@ -497,9 +506,20 @@ class BinaryLabelReader:
             self.total_words,
             file_size,
         ) = _HEADER.unpack_from(buf, 0)
+        if magic == _ROW_MAGIC:
+            raise SerializationError(
+                "labels file holds retired row-layout /2 records; "
+                "re-pack it from its /1 JSON with `repro pack`"
+            )
         if magic != MAGIC:
             raise SerializationError(
                 f"not a repro-distance-labels/2 file (magic {magic!r})"
+            )
+        if version != FORMAT_VERSION:
+            raise SerializationError(
+                f"labels file has /2 layout version {version}, this build "
+                f"reads version {FORMAT_VERSION}; re-pack it from its /1 "
+                f"JSON with `repro pack`"
             )
         if file_size != len(buf):
             raise SerializationError(
@@ -561,9 +581,7 @@ class BinaryLabelReader:
 
     def _record_span(self, record_id: int) -> Tuple[int, int]:
         self._require_open()
-        base = self._offset_idx_off + 8 * record_id
-        start = _U64.unpack_from(self._buf, base)[0]
-        end = _U64.unpack_from(self._buf, base + 8)[0]
+        start, end = _SPAN.unpack_from(self._buf, self._offset_idx_off + 8 * record_id)
         if not (start <= end and self._records_off + end <= len(self._buf)):
             raise SerializationError(
                 f"record {record_id} spans outside the file"
@@ -572,12 +590,13 @@ class BinaryLabelReader:
 
     def decode_record_flat(self, record_id: int, memo: bool = True) -> FlatLabel:
         """Materialize one record as a
-        :class:`repro.core.flat.FlatLabel` (no dict/tuple fan-out),
-        resident or, without *memo*, churned."""
+        :class:`repro.core.flat.FlatLabel`, resident or, without
+        *memo*, churned."""
         if not 0 <= record_id < self.num_labels:
             raise SerializationError(f"record id {record_id} out of range")
         start, end = self._record_span(record_id)
-        return _decode_label_flat(self._buf, start, end, memo)
+        vertex, pos = decode_vertex_binary(self._buf, start)
+        return _decode_label_flat(self._buf, vertex, pos, end, memo)
 
     def record_vertex(self, record_id: int) -> Vertex:
         """Decode only the vertex field of one record (skips portals)."""
@@ -588,23 +607,25 @@ class BinaryLabelReader:
     def shard_of(self, v: Vertex) -> int:
         return zlib.crc32(shard_key_bytes(canonical_vertex(v))) % self.num_shards
 
-    def _find_record(self, v: Vertex) -> Optional[int]:
-        """Record id of *v*'s label, or None — decoding only vertex
-        fields of same-crc candidates."""
+    def _find_record(self, v: Vertex) -> Optional[Tuple[Vertex, int, int]]:
+        """``(vertex, end of its field, end of record)`` of *v*'s record,
+        or None — decoding only vertex fields of same-crc candidates."""
         self._require_open()
         canon = canonical_vertex(v)
         crc = zlib.crc32(shard_key_bytes(canon))
         shard = crc % self.num_shards
         lo, end = self._bounds[shard], self._bounds[shard + 1]
+        buf = self._buf
         crcs, ids = self._crcs, self._ids
         if crcs is not None:
             lo = bisect_left(crcs, crc, lo, end)
             while lo < end and crcs[lo] == crc:
-                if self.record_vertex(ids[lo]) == canon:
-                    return ids[lo]
+                start, stop = self._record_span(ids[lo])
+                vertex, pos = decode_vertex_binary(buf, start)
+                if vertex == canon:
+                    return vertex, pos, stop
                 lo += 1
             return None
-        buf = self._buf
         base = self._hash_idx_off
         hi = end
         while lo < hi:  # leftmost slot with hash >= crc
@@ -617,8 +638,10 @@ class BinaryLabelReader:
             slot_crc, record_id = _HASH_ENTRY.unpack_from(buf, base + 8 * lo)
             if slot_crc != crc:
                 return None
-            if self.record_vertex(record_id) == canon:
-                return record_id
+            start, stop = self._record_span(record_id)
+            vertex, pos = decode_vertex_binary(buf, start)
+            if vertex == canon:
+                return vertex, pos, stop
             lo += 1
         return None
 
@@ -628,12 +651,13 @@ class BinaryLabelReader:
 
     def get_flat(self, v: Vertex, memo: bool = True) -> Optional[FlatLabel]:
         """The label of *v* as a :class:`repro.core.flat.FlatLabel`,
-        or None — decoding only candidate records; *memo* as in
-        :meth:`decode_record_flat`."""
-        record_id = self._find_record(v)
-        if record_id is None:
+        or None: one pass from hash slot to label, decoding only
+        candidate vertex fields and the one record it lands on; *memo*
+        as in :meth:`decode_record_flat`."""
+        found = self._find_record(v)
+        if found is None:
             return None
-        return self.decode_record_flat(record_id, memo)
+        return _decode_label_flat(self._buf, *found, memo)
 
     def iter_vertices(self) -> Iterator[Vertex]:
         """Vertices in record (source) order, portals left undecoded."""

@@ -12,11 +12,12 @@ labels.
 * :func:`flat_unit_rows` — one unit's separator distances as
   ``array('d')`` rows (:class:`UnitRows`), the form the incremental
   relabeler caches and folds reweights into.
-* :class:`FlatLabel` — one vertex's label as key codes plus an
-  ``array('d')`` that is its ``/2`` record's entries region, and
-  :func:`flat_estimate`, the Theorem-2 combine over two of them.  It is
-  the only label form: builds, both codecs' loaders and writers, the
-  stores and the LABEL op all hold it.
+* :class:`FlatLabel` — one vertex's label as the three columns of its
+  ``/2`` record (64-bit key codes, portal offsets, portals), and
+  :func:`flat_estimate`, the Theorem-2 combine over two of them, with
+  :func:`flat_estimate_many`, the same combine over a batch of pairs in
+  numpy passes.  It is the only label form: builds, both codecs'
+  loaders and writers, the stores and the LABEL op all hold it.
 
 Equivalence contract (``tests/core/test_flat_differential.py`` and the
 property suite): the flat core produces the *bit-identical* labeling,
@@ -33,9 +34,8 @@ arrays.
 
 from __future__ import annotations
 
-import struct
 from array import array
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence
 from typing import Tuple
 
@@ -58,7 +58,6 @@ INF = float("inf")
 
 __all__ = [
     "CSRGraph",
-    "ENTRY_HEADER",
     "FlatBuildContext",
     "FlatLabel",
     "assemble_labels",
@@ -66,6 +65,7 @@ __all__ = [
     "UnitRows",
     "flat_cover_portals",
     "flat_estimate",
+    "flat_estimate_many",
     "flat_unit_entries",
     "flat_unit_rows",
     "group_entry_changes",
@@ -201,23 +201,24 @@ class CSRGraph:
 
 _I32_MIN = -(1 << 31)
 _I32_MAX = (1 << 31) - 1
+_U16_MAX = (1 << 16) - 1
 
 
 def encode_path_key(key: PathKey) -> int:
-    """One path key as a single integer whose numeric order equals the
-    tuple order: ``(node_id << 64) + (phase_idx << 32) + path_idx``.
-    The last two components fit the binary codec's i32 fields, so
-    ``path_idx`` takes at most ``2**32`` consecutive values and
-    ``(phase_idx << 32) + path_idx`` at most ``2**64``, which makes the
-    sum injective and order-preserving for any integer node id.
-    ``binfmt`` computes the same expression inline when it decodes a
-    record."""
+    """One path key as its 64-bit code ``node_id << 32 | phase_idx << 16
+    | path_idx``: ``node_id`` a signed 32-bit int, ``phase_idx`` and
+    ``path_idx`` in ``[0, 2**16)``.  Within those bounds the code is
+    injective, its numeric order is the tuple order, and it fits an
+    ``i64``, so a label's codes form the ``/2`` record's key column; a
+    key outside them raises :class:`~repro.util.errors.GraphError`."""
     node_id, phase_idx, path_idx = key
     if not (
-        _I32_MIN <= phase_idx <= _I32_MAX and _I32_MIN <= path_idx <= _I32_MAX
+        _I32_MIN <= node_id <= _I32_MAX
+        and 0 <= phase_idx <= _U16_MAX
+        and 0 <= path_idx <= _U16_MAX
     ):
         raise GraphError(f"path key {key!r} outside the flat key range")
-    return (node_id << 64) + (phase_idx << 32) + path_idx
+    return node_id << 32 | phase_idx << 16 | path_idx
 
 
 def _code_or_key(key):
@@ -228,12 +229,24 @@ def _code_or_key(key):
         return key
 
 
+def _label_code(vertex: Vertex, key) -> int:
+    """*key*'s code, or a :class:`SerializationError` naming *vertex*."""
+    code = _code_or_key(key)
+    if type(code) is not int:
+        raise SerializationError(_unfit(vertex, key))
+    return code
+
+
+def _unfit(vertex: Vertex, key) -> str:
+    return (
+        f"path key {key!r} of vertex {vertex!r} does not fit the key code "
+        f"(i32 node, u16 phase and path)"
+    )
+
+
 def decode_path_key(code: int) -> PathKey:
     """The path key that :func:`encode_path_key` maps to *code*."""
-    path_idx = (code - _I32_MIN) % (1 << 32) + _I32_MIN
-    high = (code - path_idx) >> 32
-    phase_idx = (high - _I32_MIN) % (1 << 32) + _I32_MIN
-    return ((high - phase_idx) >> 32, phase_idx, path_idx)
+    return (code >> 32, (code >> 16) & _U16_MAX, code & _U16_MAX)
 
 
 #: Pruning slack for :func:`flat_estimate` (see the error-bound note
@@ -243,35 +256,27 @@ def decode_path_key(code: int) -> PathKey:
 _PRUNE_SLACK = 2.0 ** -40
 
 
-#: One ``/2`` entry header — node_id, phase_idx, path_idx, num_portals —
-#: exactly as wide as one ``(position, distance)`` portal slot.
-ENTRY_HEADER = struct.Struct("<iiiI")
-
-
-
 class FlatLabel:
-    """One vertex's label as flat arrays.
+    """One vertex's label as three columns: the ``/2`` record's.
 
-    ``runs`` is the label's ``/2`` record entries region, slot for slot:
-    16-byte slots of two floats, where key ``k`` (storage order) owns
-    slots ``offs[k]`` up to ``offs[k+1]``.  The first of them is the
-    entry's header slot, holding the record's little-endian
-    :data:`ENTRY_HEADER` bytes (node, phase, path, portal count); the
-    rest are its portals as native ``(position, distance)`` doubles,
-    i.e. ``runs[2*offs[k] + 2 : 2*offs[k+1]]``.  On little-endian hosts
-    ``runs.tobytes()`` is therefore the record body verbatim, which is
-    how a build's labels are packed and how a decoded record is read
-    (one copy each way).  Nothing here reads a header slot as floats.
+    ``codes`` (``array('q')``) holds each key's :func:`encode_path_key`
+    code in storage order, ``offs`` (``array('I')``, one longer) the
+    portal offsets, and ``runs`` (``array('d')``) every portal as a
+    ``(position, distance)`` pair: key ``k`` owns portals ``offs[k]``
+    up to ``offs[k+1]``, i.e. ``runs[2*offs[k] : 2*offs[k+1]]``, in
+    ascending position.  On little-endian hosts the three columns'
+    bytes are the record's body after its key count verbatim, which is
+    how a label is packed and how a record is decoded (one copy each
+    way).
 
     Storage order is the entry order of the source — a build's
     ascending key order, a ``/1`` label's key order or a ``/2``
-    record's field order — so re-encoding a loaded label in either
+    record's column order — so re-encoding a loaded label in either
     codec reproduces its bytes.  The build, both writers and
-    :meth:`with_changes` keep it ascending.  ``index`` maps each key's
-    integer code (:func:`encode_path_key`) to its storage index.
-    ``keys``, the path-key tuples, are only read to write ``/1`` JSON or
-    an entries dict, so a label built without them derives them from
-    ``index`` on first access.
+    :meth:`with_changes` keep it ascending.  ``index`` maps each code
+    to its storage index.  ``keys``, the path-key tuples, are only read
+    to write ``/1`` JSON or an entries dict, so a label built without
+    them derives them from ``codes`` on first access.
 
     A label built with ``memo`` (the default) is *resident*: it is
     expected to answer many queries, so the per-key merge state — the
@@ -286,18 +291,20 @@ class FlatLabel:
     holds none and :func:`flat_estimate` merges its ``runs`` directly.
     """
 
-    __slots__ = ("vertex", "offs", "runs", "index", "_keys", "_spans")
+    __slots__ = ("vertex", "codes", "offs", "runs", "index", "_keys", "_spans")
 
     def __init__(
         self,
         vertex: Vertex,
-        offs: Sequence[int],
+        codes: array,
+        offs: array,
         runs: array,
         index: Dict[int, int],
         keys: Optional[Tuple[PathKey, ...]] = None,
         memo: bool = True,
     ) -> None:
         self.vertex = vertex
+        self.codes = codes
         self.offs = offs
         self.runs = runs
         self.index = index
@@ -310,26 +317,17 @@ class FlatLabel:
     def from_entries(
         cls, vertex: Vertex, entries: Dict[PathKey, List[PortalEntry]]
     ) -> "FlatLabel":
-        """The label of *vertex* holding *entries*, in their order.
-
-        Each key's header slot is written here, so a key that does not
-        fit the ``/2`` record's i32 fields raises
+        """The label of *vertex* holding *entries*, in their order.  A
+        key outside :func:`encode_path_key`'s bounds raises
         :class:`~repro.core.serialize.SerializationError`."""
-        offs = [0]
-        runs = array("d")
-        index: Dict[int, int] = {}
-        for k, (key, portals) in enumerate(entries.items()):
-            try:
-                runs.frombytes(ENTRY_HEADER.pack(*key, len(portals)))
-            except (struct.error, TypeError):
-                raise SerializationError(
-                    f"path key {key!r} of vertex {vertex!r} does not fit "
-                    f"i32 fields"
-                ) from None
-            runs.extend(chain.from_iterable(portals))
-            offs.append(len(runs) // 2)
-            index[encode_path_key(key)] = k
-        return cls(vertex, offs, runs, index, tuple(entries))
+        code_list = [_label_code(vertex, key) for key in entries]
+        runs = list(chain.from_iterable(chain.from_iterable(entries.values())))
+        offs = array("I", accumulate(map(len, entries.values()), initial=0))
+        index = dict(zip(code_list, range(len(code_list))))
+        return cls(
+            vertex, array("q", code_list), offs, array("d", runs), index,
+            tuple(entries),
+        )
 
     @classmethod
     def from_label(cls, label: "FlatLabel") -> "FlatLabel":
@@ -338,7 +336,8 @@ class FlatLabel:
         already; its next change can drop the call and this method."""
         return cls(
             label.vertex,
-            list(label.offs),
+            array("q", label.codes),
+            array("I", label.offs),
             array("d", label.runs),
             dict(label.index),
             label._keys,
@@ -349,7 +348,7 @@ class FlatLabel:
         code *code*, built on first use and memoized."""
         k = self.index[code]
         offs = self.offs
-        run = tuple(self.runs[2 * offs[k] + 2 : 2 * offs[k + 1]])
+        run = tuple(self.runs[2 * offs[k] : 2 * offs[k + 1]])
         mind = INF
         mag = 0.0
         for i in range(0, len(run), 2):
@@ -367,7 +366,7 @@ class FlatLabel:
     def keys(self) -> Tuple[PathKey, ...]:
         """The path keys, in storage order."""
         if self._keys is None:
-            self._keys = tuple(map(decode_path_key, self.index))
+            self._keys = tuple(map(decode_path_key, self.codes))
         return self._keys
 
     def entries(self) -> Dict[PathKey, List[Tuple[float, float]]]:
@@ -377,8 +376,8 @@ class FlatLabel:
         return {
             key: list(
                 zip(
-                    vals[2 * offs[k] + 2 : 2 * offs[k + 1] : 2],
-                    vals[2 * offs[k] + 3 : 2 * offs[k + 1] : 2],
+                    vals[2 * offs[k] : 2 * offs[k + 1] : 2],
+                    vals[2 * offs[k] + 1 : 2 * offs[k + 1] : 2],
                 )
             )
             for k, key in enumerate(self.keys)
@@ -392,13 +391,13 @@ class FlatLabel:
         """``(edited label, removals that found their key)``: each
         ``(key, portals)`` of *changes* set, then each key of *removals*
         dropped; this label is left as it is.  Kept keys are copied as
-        slices of unchanged slot ranges of ``runs``, changed ones get a
-        fresh header and portals at their ascending position.  Bytes
-        and count equal the dict edit of the test reference
+        slices of unchanged portal ranges of ``runs``, changed ones get
+        their portals at their ascending position.  Bytes and count
+        equal the dict edit of the test reference
         (``tests/reference_labeling.py``: ``apply_entry_changes`` on
         :meth:`entries`, then :meth:`from_entries`): a label not in
         ascending order is re-sorted once any change is set, and a key
-        that does not fit i32 fields raises
+        outside :func:`encode_path_key`'s bounds raises
         :class:`~repro.core.serialize.SerializationError`."""
         offs, runs = self.offs, self.runs
         # Code (the key itself where it has none) -> storage index of a
@@ -412,22 +411,13 @@ class FlatLabel:
         removed = sum(
             plan.pop(_code_or_key(key), None) is not None for key in removals
         )
-        bad = []
-        for code, slot in plan.items():
-            if type(slot) is tuple:  # -> (header, portals)
-                try:
-                    plan[code] = ENTRY_HEADER.pack(*slot[0], len(slot[1])), slot[1]
-                except (struct.error, TypeError):
-                    bad.append(slot[0])
+        bad = [slot[0] for code, slot in plan.items() if type(code) is not int]
         if bad:
-            raise SerializationError(
-                f"path key {min(bad)!r} of vertex {self.vertex!r} does not "
-                f"fit i32 fields"
-            )
-        out, out_offs, out_index = array("d"), [0], {}
-        lo = hi = 0  # slots lo..hi of this label, not yet copied
-        for n, code in enumerate(sorted(plan) if resort else plan):
-            out_index[code] = n
+            raise SerializationError(_unfit(self.vertex, min(bad)))
+        order = sorted(plan) if resort else list(plan)
+        out, out_offs = array("d"), array("I", [0])
+        lo = hi = 0  # portals lo..hi of this label, not yet copied
+        for code in order:
             slot = plan[code]
             if type(slot) is int:
                 a, b = offs[slot], offs[slot + 1]
@@ -438,35 +428,46 @@ class FlatLabel:
             else:
                 out += runs[2 * lo : 2 * hi]
                 lo = hi = 0
-                out.frombytes(slot[0])
                 out.extend(chain.from_iterable(slot[1]))
             out_offs.append(len(out) // 2 + hi - lo)
         out += runs[2 * lo : 2 * hi]
-        return FlatLabel(self.vertex, out_offs, out, out_index), removed
+        codes = array("q", order)
+        index = dict(zip(order, range(len(order))))
+        return FlatLabel(self.vertex, codes, out_offs, out, index), removed
 
-    def portals(self, key: PathKey) -> Optional[List[PortalEntry]]:
-        """The portal list of *key* as ``(position, distance)`` tuples,
-        or None when the label holds no such key."""
-        k = self.index.get(encode_path_key(key))
+    def portals_equal(
+        self, code: int, portals: Sequence[PortalEntry]
+    ) -> Optional[bool]:
+        """Whether the key with code *code* holds exactly *portals*, as
+        ``(position, distance)`` pairs compared with ``==``; None when
+        the label holds no such key.  Reads the run in place."""
+        k = self.index.get(code)
         if k is None:
             return None
-        vals = self.runs[2 * self.offs[k] + 2 : 2 * self.offs[k + 1]].tolist()
-        return list(zip(vals[::2], vals[1::2]))
+        i, end = 2 * self.offs[k], 2 * self.offs[k + 1]
+        if end - i != 2 * len(portals):
+            return False
+        runs = self.runs
+        for pos, dist in portals:
+            if runs[i] != pos or runs[i + 1] != dist:
+                return False
+            i += 2
+        return True
 
     @property
     def num_portals(self) -> int:
-        return self.offs[-1] - (len(self.offs) - 1)
+        return self.offs[-1]
 
     @property
     def words(self) -> int:
         """Label size in the paper's word model (see
         :mod:`repro.util.sizing`): a header word per key plus
         :data:`~repro.util.sizing.PORTAL_ENTRY_WORDS` per portal."""
-        return self.num_portals * PORTAL_ENTRY_WORDS + len(self.offs) - 1
+        return self.offs[-1] * PORTAL_ENTRY_WORDS + len(self.codes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"FlatLabel({self.vertex!r}, keys={len(self.offs) - 1}, "
+            f"FlatLabel({self.vertex!r}, keys={len(self.codes)}, "
             f"portals={self.num_portals})"
         )
 
@@ -474,8 +475,8 @@ class FlatLabel:
 def label_content(label: FlatLabel):
     """A label's content as a comparable value (``FlatLabel`` has no
     ``__eq__``): its vertex, its path keys in storage order and its
-    slot bytes."""
-    return label.vertex, label.keys, label.runs.tobytes()
+    offset and portal columns' bytes."""
+    return label.vertex, label.keys, label.offs.tobytes(), label.runs.tobytes()
 
 
 def flat_estimate(label_u: FlatLabel, label_v: FlatLabel) -> float:
@@ -532,9 +533,9 @@ def flat_estimate(label_u: FlatLabel, label_v: FlatLabel) -> float:
         else:
             ka = a.index[code]
             kb = b_index[code]
-            p = 2 * oa[ka] + 2
+            p = 2 * oa[ka]
             pe = 2 * oa[ka + 1]
-            q = 2 * ob[kb] + 2
+            q = 2 * ob[kb]
             qe = 2 * ob[kb + 1]
         if pe - p == 2 and qe - q == 2:
             # Single portal on both sides: the merge below reduces to
@@ -577,6 +578,106 @@ def flat_estimate(label_u: FlatLabel, label_v: FlatLabel) -> float:
             "oracle.query.portal_scans", sum(code in b_index for code in a.index)
         )
     return best
+
+
+def flat_estimate_many(
+    pairs: Sequence[Tuple[FlatLabel, FlatLabel]]
+) -> List[float]:
+    """:func:`flat_estimate` of every ``(label_u, label_v)`` pair of
+    *pairs*, bit for bit, in a fixed number of numpy passes instead of
+    one interpreted merge per pair.
+
+    Per pair, ``a`` is the label :func:`flat_estimate` merges first
+    (``label_u``, unless ``label_v`` holds strictly fewer keys).  The
+    labels' columns are joined with ``bytes.join``; the batch's codes
+    are ranked, so ``(pair, code)`` fits one ``int64`` and each
+    ``b``-side key finds its ``a``-side twin with one ``searchsorted``.
+    Every shared key then expands its portal cross product, and each
+    candidate is the merge's own float expression for that portal pair:
+    ``((d_b - p_b) + d_a) + p_a`` when ``p_b < p_a``, else ``((d_a -
+    p_a) + d_b) + p_b`` (the merge takes an ``a`` portal first on a
+    position tie).  Because runs are in ascending position, the merge's
+    candidates for a key are exactly these, and rounding is monotone,
+    so the minimum per pair is the merge's ``best``.  A vertex paired
+    with itself gives ``0.0`` and is not counted, as in
+    :func:`flat_estimate`; ``oracle.query.*`` counts the same totals.
+    """
+    np = _np
+    out = [0.0] * len(pairs)
+    live, firsts, seconds = [], [], []
+    for i, (a, b) in enumerate(pairs):
+        if a.vertex == b.vertex:
+            continue
+        if len(b.codes) < len(a.codes):
+            a, b = b, a
+        live.append(i)
+        firsts.append(a)
+        seconds.append(b)
+    n = len(live)
+    if not n:
+        return out
+    labels = firsts + seconds  # label j < n is pair j's a, n + j its b
+    codes = np.frombuffer(b"".join([lab.codes for lab in labels]), np.int64)
+    offs = np.frombuffer(b"".join([lab.offs for lab in labels]), np.uint32)
+    runs = np.frombuffer(b"".join([lab.runs for lab in labels]), np.float64)
+    sizes = np.array(
+        [len(lab.codes) for lab in labels] + [lab.offs[-1] for lab in labels],
+        dtype=np.int64,
+    )
+    num_keys, portal_base = sizes[: 2 * n], sizes[2 * n :]
+    portal_base = np.cumsum(portal_base) - portal_base
+    # Per key: its label, and its portal range in the joined runs (a
+    # label's offs hold one entry more than its codes).
+    owner = np.repeat(np.arange(2 * n, dtype=np.int64), num_keys)
+    at = np.arange(len(codes), dtype=np.int64) + owner
+    starts = portal_base[owner] + offs[at]
+    stops = portal_base[owner] + offs[at + 1]
+    # Rank the codes with one stable sort; (rank, pair) then ascends
+    # along the sorted order on each side, so the b side's keys find
+    # their a-side twins with one searchsorted.
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    rank = np.zeros(len(codes), dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=rank[1:])
+    pair_key = rank * n + owner[order] % n
+    on_a = order < int(num_keys[:n].sum())
+    # A sentinel above every key keeps each hit inside the a side.
+    key_a = np.append(pair_key[on_a], np.iinfo(np.int64).max)
+    key_b = pair_key[~on_a]
+    hit = np.searchsorted(key_a, key_b)
+    shared = key_a[hit] == key_b
+    kb = order[~on_a][shared]
+    by_pair = np.argsort(kb)
+    ka = order[on_a][hit[shared]][by_pair]
+    kb = kb[by_pair]
+    if metrics.enabled:
+        metrics.inc("oracle.query.count", n)
+        metrics.inc("oracle.query.portal_scans", len(kb))
+    sa, sb = starts[ka], starts[kb]
+    na, nb = stops[ka] - sa, stops[kb] - sb
+    count = na * nb
+    total = int(count.sum())
+    best = np.full(n, INF)
+    if total:
+        # Candidate t of shared key m pairs a-portal sa + t // nb with
+        # b-portal sb + t % nb.
+        m = np.repeat(np.arange(len(kb), dtype=np.int64), count)
+        t = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(count) - count, count
+        )
+        nbm = nb[m]
+        i = t // nbm
+        ia = 2 * (sa[m] + i)
+        ib = 2 * (sb[m] + t - i * nbm)
+        pa, da, pb, db = runs[ia], runs[ia + 1], runs[ib], runs[ib + 1]
+        cand = np.where(pb < pa, ((db - pb) + da) + pa, ((da - pa) + db) + pb)
+        # Shared keys come in b-side order, which is pair order.
+        pair = owner[kb][m] - n
+        first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+        best[pair[first]] = np.minimum.reduceat(cand, first)
+    for slot, value in zip(live, best.tolist()):
+        out[slot] = value
+    return out
 
 
 # -- label deltas ---------------------------------------------------------
@@ -851,59 +952,62 @@ def assemble_labels(
     produced.clear()
 
     fields = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    bad = np.flatnonzero(((fields < _I32_MIN) | (fields > _I32_MAX)).any(axis=1))
+    lows = np.array([_I32_MIN, 0, 0], dtype=np.int64)
+    highs = np.array([_I32_MAX, _U16_MAX, _U16_MAX], dtype=np.int64)
+    bad = np.flatnonzero(((fields < lows) | (fields > highs)).any(axis=1))
     if len(bad):
         raise SerializationError(
-            f"path key {keys[int(bad[0])]!r} does not fit i32 fields"
+            f"path key {keys[int(bad[0])]!r} does not fit the key code "
+            f"(i32 node, u16 phase and path)"
         )
+    key_codes = fields[:, 0] << 32 | fields[:, 1] << 16 | fields[:, 2]
     order = np.argsort(verts, kind="stable")
-    key_ids = key_ids[order]
+    entry_codes = key_codes[key_ids[order]]
     sorted_counts = counts[order]
-    slot_starts = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(sorted_counts + 1, out=slot_starts[1:])
-    heads = slot_starts[:-1]
-    slots = np.empty((int(slot_starts[-1]), 2), dtype=np.float64)
-    # Header slots as four little-endian i32 words: the key's fields,
-    # then the portal count (far below 2**31, so its u32 bytes).
-    header_words = slots.view("<i4")
-    header_words[heads, :3] = fields[key_ids]
-    header_words[heads, 3] = sorted_counts
     # Portal block of entry e (original order) starts at pair_starts[e]
-    # and lands right after e's header slot.
+    # and moves to its entry's place in vertex order.
+    dest = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(sorted_counts, out=dest[1:])
     pair_starts = np.cumsum(counts) - counts
-    entry_heads = np.empty_like(heads)
-    entry_heads[order] = heads
-    slots[
-        np.repeat(entry_heads + 1 - pair_starts, counts)
+    entry_dest = np.empty(len(order), dtype=np.int64)
+    entry_dest[order] = dest[:-1]
+    portals = np.empty_like(pairs)
+    portals[
+        np.repeat(entry_dest - pair_starts, counts)
         + np.arange(len(pairs), dtype=np.int64)
     ] = pairs
-    del pairs, counts, pair_starts, entry_heads
+    del pairs, counts, pair_starts, entry_dest
 
     n = ctx.csr.num_vertices
     per_vertex = np.bincount(verts, minlength=n)
     del verts
     entry_bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(per_vertex, out=entry_bounds[1:])
-    slot_bounds = slot_starts[entry_bounds]
-    rel_offs = (heads - np.repeat(slot_bounds[:-1], per_vertex)).tolist()
-    codes = [encode_path_key(key) for key in keys]
-    entry_codes = [codes[k] for k in key_ids.tolist()]
+    portal_bounds = dest[entry_bounds]
+    rel_offs = (
+        dest[:-1] - np.repeat(portal_bounds[:-1], per_vertex)
+    ).astype(np.uint32)
     entry_bounds = entry_bounds.tolist()
-    slot_bounds = slot_bounds.tolist()
+    portal_bounds = portal_bounds.tolist()
 
-    raw = memoryview(slots.view(np.uint8).reshape(-1))
+    code_raw = memoryview(entry_codes.tobytes())
+    offs_raw = memoryview(rel_offs.tobytes())
+    pair_raw = memoryview(portals.view(np.uint8).reshape(-1))
     labels: Dict[Vertex, FlatLabel] = {}
     for i, v in enumerate(ctx.csr.verts):
         lo, hi = entry_bounds[i], entry_bounds[i + 1]
-        s0, s1 = slot_bounds[i], slot_bounds[i + 1]
+        p0, p1 = portal_bounds[i], portal_bounds[i + 1]
+        codes = array("q")
+        codes.frombytes(code_raw[8 * lo : 8 * hi])
+        offs = array("I")
+        offs.frombytes(offs_raw[4 * lo : 4 * hi])
+        offs.append(p1 - p0)
         runs = array("d")
-        runs.frombytes(raw[16 * s0 : 16 * s1])
-        offs = rel_offs[lo:hi]
-        offs.append(s1 - s0)
+        runs.frombytes(pair_raw[16 * p0 : 16 * p1])
         labels[v] = FlatLabel(
-            v, offs, runs, dict(zip(entry_codes[lo:hi], range(hi - lo)))
+            v, codes, offs, runs, dict(zip(codes, range(hi - lo)))
         )
-    raw.release()
+    pair_raw.release()
     return labels
 
 

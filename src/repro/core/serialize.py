@@ -26,7 +26,8 @@ Two codecs share the ``repro-distance-labels`` format family:
 sniffs the /2 magic) dispatch between them; every reader accepts
 either transparently.  A malformed ``/1`` payload (a missing field, a
 wrong type, a ``NaN`` or ``Infinity`` token, a key outside the ``/2``
-i32 fields) raises :class:`SerializationError` with a one-line reason.
+key code's fields, portal positions that decrease) raises
+:class:`SerializationError` with a one-line reason.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _label_json(label: "FlatLabel") -> str:
     vals, offs = label.runs.tolist(), label.offs
     parts = []
     for k, key in enumerate(label.keys):
-        run = vals[2 * offs[k] + 2 : 2 * offs[k + 1]]
+        run = vals[2 * offs[k] : 2 * offs[k + 1]]
         if not all(map(math.isfinite, run)):
             raise ValueError(f"non-finite portal under key {key!r}")
         pairs = ",".join(["[%r,%r]"] * (len(run) // 2)) % tuple(run)
@@ -221,7 +222,10 @@ def _finite_number(value) -> bool:
 def decode_label(data: dict) -> "FlatLabel":
     """Inverse of :func:`encode_label`: a resident
     :class:`~repro.core.flat.FlatLabel` whose keys keep the payload's
-    order.  Anything malformed raises :class:`SerializationError`."""
+    order.  Anything malformed raises :class:`SerializationError`: so do
+    portal positions that decrease under one key, which the combine's
+    sorted merge would turn into an underestimate, and a key outside
+    the ``/2`` key code's bounds."""
     from repro.core.flat import FlatLabel
 
     if not (
@@ -249,6 +253,12 @@ def decode_label(data: dict) -> "FlatLabel":
                     f"{pair!r}, not two finite numbers"
                 )
             portals.append((float(pair[0]), float(pair[1])))
+            if len(portals) > 1 and portals[-1][0] < portals[-2][0]:
+                raise SerializationError(
+                    f"path key {key_text!r} of vertex {vertex!r} holds portal "
+                    f"positions out of order ({portals[-2][0]!r} then "
+                    f"{portals[-1][0]!r})"
+                )
         entries[_decode_key(key_text)] = portals
     return FlatLabel.from_entries(vertex, entries)
 

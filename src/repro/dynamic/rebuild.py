@@ -57,7 +57,7 @@ from repro.dynamic.invalidate import (
     units_path_keys,
 )
 from repro.obs import metrics, span
-from repro.util.errors import ReproError
+from repro.util.errors import GraphError, ReproError
 
 Vertex = Hashable
 
@@ -384,6 +384,7 @@ def incremental_relabel(
             ordered = {}  # whole residual? -> (targets by repr, positions)
             for path_idx, path in enumerate(phase.paths):
                 key = (node_id, phase_idx, path_idx)
+                code = flat_core.encode_path_key(key)
                 # A touched prefix shifts every portal position on the
                 # path, so its key refreshes all residual vertices even
                 # when no distance row moved.
@@ -401,11 +402,10 @@ def incremental_relabel(
                     labeling.epsilon,
                 )
                 for vx, new in zip(verts, covers):
-                    old = labels[vx].portals(key)
                     if new is None:
-                        if old is not None:
+                        if code in labels[vx].index:
                             delta.removals.append((vx, key))
-                    elif old != new:
+                    elif not labels[vx].portals_equal(code, new):
                         delta.changes.append((vx, key, new))
         # Each (vertex, key) is decided from the old label, so the
         # touched labels are replaced only now, each one once.
@@ -497,12 +497,25 @@ def _require_finite_positive(value, name: str) -> float:
     return value
 
 
+def _check_key_code(key: PathKey) -> None:
+    try:
+        flat_core.encode_path_key(key)
+    except GraphError:
+        raise DeltaError(
+            f"path key {key!r} does not fit the key code "
+            f"(i32 node, u16 phase and path)"
+        ) from None
+
+
 def delta_from_dict(data) -> LabelDelta:
     """Strict inverse of :func:`delta_to_dict`.
 
     Every malformation raises :class:`DeltaError` with a one-line
-    reason; nothing is coerced silently.  The journal loader and the
-    serve ``DELTA`` op both funnel untrusted bytes through here.
+    reason; nothing is coerced silently.  That includes a changed key
+    outside the ``/2`` key code's bounds and portal positions that
+    decrease, which the combine's sorted merge would turn into an
+    underestimate.  The journal loader and the serve ``DELTA`` op both
+    funnel untrusted bytes through here.
     """
     if not isinstance(data, dict):
         raise DeltaError(f"delta payload must be an object, got {type(data).__name__}")
@@ -541,6 +554,7 @@ def delta_from_dict(data) -> LabelDelta:
             raise DeltaError(str(exc)) from None
         if key is None:
             raise DeltaError(f"malformed path key {key_text!r}")
+        _check_key_code(key)
         if not isinstance(pairs, list) or not pairs:
             raise DeltaError(f"delta change for {vx!r} has no portal entries")
         portals: List[PortalEntry] = []
@@ -554,6 +568,12 @@ def delta_from_dict(data) -> LabelDelta:
                 if not math.isfinite(float(val)):
                     raise DeltaError(f"non-finite portal entry {pair!r}")
             portals.append((float(pos), float(dist)))
+            if len(portals) > 1 and portals[-1][0] < portals[-2][0]:
+                raise DeltaError(
+                    f"delta change for {vx!r} under key {key_text!r} has "
+                    f"portal positions out of order ({portals[-2][0]!r} then "
+                    f"{portals[-1][0]!r})"
+                )
         changes.append((vx, key, portals))
     removals: List[Removal] = []
     if not isinstance(data["removals"], list):

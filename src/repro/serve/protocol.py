@@ -202,7 +202,9 @@ def parse_request(raw) -> Request:
         payload = json.loads(
             raw, parse_constant=_reject_constant, parse_float=_finite_float
         )
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the plain ValueError of an integer literal
+        # past Python's int-string digit limit.
         raise ProtocolError("bad_request", f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("bad_request", "request is not a JSON object")

@@ -147,12 +147,24 @@ class TestLabelRecords:
             encode_label_binary(label)
 
     def test_path_key_outside_i32_rejected(self):
-        # The key's header slot is the record's entry header, so it is
-        # refused as the label is built, before any record is written.
-        with pytest.raises(SerializationError, match="does not fit i32"):
-            encode_label_binary(
-                FlatLabel.from_entries(7, {(1 << 40, 0, 0): [(0.0, 1.0)]})
-            )
+        # The key's code is the record's key column entry, so a key
+        # outside its fields (i32 node, u16 phase and path) is refused
+        # as the label is built, before any record is written.
+        for key in [(1 << 40, 0, 0), (0, 1 << 16, 0), (0, 0, -1)]:
+            with pytest.raises(SerializationError, match="does not fit the key code"):
+                encode_label_binary(FlatLabel.from_entries(7, {key: [(0.0, 1.0)]}))
+
+    def test_record_is_the_label_columns(self):
+        label = FlatLabel.from_entries(
+            7, {(2, 1, 0): [(0.0, 1.0), (2.5, 0.5)], (3, 0, 4): [(1.0, 2.0)]}
+        )
+        assert encode_label_binary(label) == (
+            _encode(7)
+            + struct.pack("<I", 2)
+            + struct.pack("<2q", 2 << 32 | 1 << 16, 3 << 32 | 4)
+            + struct.pack("<3I", 0, 2, 3)
+            + struct.pack("<6d", 0.0, 1.0, 2.5, 0.5, 1.0, 2.0)
+        )
 
 
 class TestPackAndRead:
@@ -453,6 +465,52 @@ class TestReaderValidation:
         in_memory.close()
         with pytest.raises(SerializationError, match="in-memory is closed"):
             in_memory.get_flat(u)
+
+    def test_row_layout_file_refused_naming_repro_pack(self, blob):
+        bad = self._corrupt(blob, 0, b"RDLBLv2\n")
+        assert is_binary_labels(bad)
+        with pytest.raises(SerializationError, match="row-layout.*`repro pack`"):
+            BinaryLabelReader(bad)
+
+    def test_other_layout_version_refused_naming_repro_pack(self, blob):
+        assert struct.unpack_from("<I", blob, 8) == (1,)
+        bad = self._corrupt(blob, 8, struct.pack("<I", 2))
+        with pytest.raises(SerializationError, match="version 2.*`repro pack`"):
+            BinaryLabelReader(bad)
+
+    @pytest.mark.parametrize(
+        "offs, extra, match",
+        [
+            ((0, 2, 1), b"", "malformed portal offsets"),
+            ((1, 1, 2), b"", "malformed portal offsets"),
+            ((0, 1, 3), b"", "truncated"),
+            ((0, 1, 2), b"\x00" * 16, "16 stray bytes"),
+        ],
+    )
+    def test_malformed_record_columns_rejected(self, offs, extra, match):
+        label = FlatLabel.from_entries(
+            9, {(0, 0, 0): [(0.0, 1.0)], (1, 0, 0): [(0.0, 2.0)]}
+        )
+        record = encode_label_binary(label)
+        at = len(_encode(9)) + 4 + 16
+        forged = record[:at] + struct.pack("<3I", *offs) + record[at + 12 :] + extra
+        start = len(_encode(9))
+        from repro.core.binfmt import _decode_label_flat
+
+        with pytest.raises(SerializationError, match=match):
+            _decode_label_flat(forged, 9, start, len(forged))
+
+    def test_repeated_code_rejected(self):
+        label = FlatLabel.from_entries(
+            9, {(0, 0, 0): [(0.0, 1.0)], (1, 0, 0): [(0.0, 2.0)]}
+        )
+        record = bytearray(encode_label_binary(label))
+        at = len(_encode(9)) + 4
+        record[at + 8 : at + 16] = record[at : at + 8]
+        from repro.core.binfmt import _decode_label_flat
+
+        with pytest.raises(SerializationError, match="repeats a path key"):
+            _decode_label_flat(bytes(record), 9, at - 4, len(record))
 
     def test_header_size_is_stable(self):
         # The documented layout: 80 bytes, and every writer/reader in

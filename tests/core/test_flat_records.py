@@ -1,13 +1,13 @@
-"""The record-body invariant: a ``FlatLabel``'s runs are its ``/2`` record.
+"""The record-body invariant: a ``FlatLabel``'s columns are its ``/2`` record.
 
 Every way a label comes to exist — a build (serial and forked), the
 ``from_entries`` constructor, the flat ``/2`` decoder, a delta apply —
-must leave ``runs`` equal, byte for byte, to the entries region of the
-label's ``/2`` record: entry headers in the header slots, portals in
-the rest.  ``pack_labeling`` writes those runs verbatim, so its output
-must also equal a per-portal reference writer's, and its checks (finite
-portals, i32 key fields, one label per canonical vertex) must still
-name the offending vertex and key.
+must leave ``codes``, ``offs`` and ``runs`` equal, byte for byte, to the
+three columns of the label's ``/2`` record: the i64 key codes, the u32
+portal offsets and the portals.  ``pack_labeling`` writes those columns
+verbatim, so its output must also equal a per-field reference writer's,
+and its checks (finite portals, key code fields, one label per
+canonical vertex) must still name the offending vertex and key.
 """
 
 import math
@@ -41,7 +41,6 @@ from tests.reference_labeling import (
     reference_build_labeling,
 )
 
-_HEADER = struct.Struct("<iiiI")
 _PORTAL = struct.Struct("<dd")
 
 
@@ -50,8 +49,14 @@ def reference_record(label: VertexLabel) -> bytes:
     out = bytearray()
     encode_vertex_binary(label.vertex, out)
     out += struct.pack("<I", len(label.entries))
-    for key, portals in label.entries.items():
-        out += _HEADER.pack(*key, len(portals))
+    for node_id, phase_idx, path_idx in label.entries:
+        out += struct.pack("<q", node_id * 2**32 + phase_idx * 2**16 + path_idx)
+    count = 0
+    out += struct.pack("<I", count)
+    for portals in label.entries.values():
+        count += len(portals)
+        out += struct.pack("<I", count)
+    for portals in label.entries.values():
         for pos, dist in portals:
             out += _PORTAL.pack(pos, dist)
     return bytes(out)
@@ -66,15 +71,19 @@ def record_bytes(blob: bytes, record_id: int) -> bytes:
 
 
 def entries_region(label) -> bytes:
-    """The entries region of *label*'s record, by the reference writer."""
+    """The three columns of *label*'s record, by the reference writer."""
     head = bytearray()
     encode_vertex_binary(label.vertex, head)
     return reference_record(dict_label(label))[len(head) + 4 :]
 
 
+def columns(label) -> bytes:
+    return label.codes.tobytes() + label.offs.tobytes() + label.runs.tobytes()
+
+
 def assert_runs_are_records(labels):
     for label in labels:
-        assert label.runs.tobytes() == entries_region(label), label.vertex
+        assert columns(label) == entries_region(label), label.vertex
 
 
 def assert_pack_matches_reference_writer(labeling, reference):
@@ -112,12 +121,12 @@ class TestRunsAreRecordBodies:
         with BinaryLabelReader(blob) as reader:
             labels = [reader.get_flat(v) for v in reader.iter_vertices()]
             for record_id, label in enumerate(labels):
-                assert label.runs.tobytes() == entries_region(label)
+                assert columns(label) == entries_region(label)
                 head = bytearray()
                 encode_vertex_binary(label.vertex, head)
                 assert record_bytes(blob, record_id) == (
-                    bytes(head) + struct.pack("<I", len(label.offs) - 1)
-                    + label.runs.tobytes()
+                    bytes(head) + struct.pack("<I", len(label.codes))
+                    + columns(label)
                 )
 
     def test_delta_apply(self, case):
@@ -133,7 +142,7 @@ class TestRunsAreRecordBodies:
         assert list(new.keys) == sorted(new.keys)
         assert_runs_are_records([new])
         # The old label is untouched.
-        assert label.runs.tobytes() == entries_region(label)
+        assert columns(label) == entries_region(label)
 
     def test_incremental_relabel(self):
         graph = grid_2d(7, weight_range=(1.0, 5.0), seed=11)
@@ -186,18 +195,22 @@ class TestPackChecksOnFlatLabels:
 
     def test_node_id_outside_i32_names_vertex_and_key(self):
         bad = {(1 << 31, 0, 0): [(0.0, 1.0)]}
-        match = r"path key \(2147483648, 0, 0\) of vertex 'x' does not fit i32"
+        match = (
+            r"path key \(2147483648, 0, 0\) of vertex 'x' does not fit the "
+            r"key code \(i32 node, u16 phase and path\)"
+        )
         with pytest.raises(SerializationError, match=match):
             FlatLabel.from_entries("x", bad)
         with pytest.raises(SerializationError, match=match):
             decode_label({"v": "x", "e": {"2147483648:0:0": [[0.0, 1.0]]}})
 
     def test_header_slot_reading_as_nan_is_not_a_portal(self):
-        # Phase -1 fills a header slot's exponent bits: as a double it
-        # is NaN, but it is no portal, so the pack goes through.
-        lab = VertexLabel(5, {(0, -1, 0): [(0.0, 1.0)], (1, 0, 2): [(2.0, 3.0)]})
+        # Node -1 fills a key code's exponent bits: read as a double it
+        # is NaN, but the key column holds no portal, so the pack goes
+        # through.
+        lab = VertexLabel(5, {(-1, 1, 0): [(0.0, 1.0)], (1, 0, 2): [(2.0, 3.0)]})
         label = flat_label(lab)
-        assert math.isnan(label.runs[0]) or math.isnan(label.runs[1])
+        assert math.isnan(struct.unpack("<d", label.codes[:1].tobytes())[0])
         blob = self._pack(label)
         assert dict_label(BinaryLabelReader(blob).get_flat(5)) == lab
 

@@ -137,20 +137,20 @@ class TestCanonicalVertexRegression:
 class TestPathKeyEncoding:
     def test_code_order_equals_tuple_order(self):
         keys = [
-            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
-            (1, 2, 3), (1, 2, 4), (2, 0, 0), (5, -1, 7), (5, 0, -9),
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 2, 3),
+            (1, 2, 4), (2, 0, 0), (5, 65535, 7), (5, 0, 65535), (-5, 3, 0),
         ]
         codes = [encode_path_key(k) for k in keys]
         assert sorted(codes) == [encode_path_key(k) for k in sorted(keys)]
         assert len(set(codes)) == len(keys)
 
     def test_decoded_records_carry_the_same_codes(self):
-        # The /2 decoder computes codes inline from the i32 fields;
-        # they must equal encode_path_key's, signed extremes included,
-        # or a delta-rebuilt label would share no key with a mapped one.
+        # The /2 key column holds encode_path_key's codes; the
+        # decoded ones must equal them, field extremes included, or a
+        # delta-rebuilt label would share no key with a mapped one.
         keys = [
-            (0, 0, 0), (5, -1, 7), (-3, 2, -9), (7, 1 << 20, 0),
-            (1, -(1 << 31), (1 << 31) - 1), (-(1 << 31), (1 << 31) - 1, -1),
+            (0, 0, 0), (5, 65535, 7), (-3, 2, 65535), (7, 1 << 15, 0),
+            ((1 << 31) - 1, 0, 65535), (-(1 << 31), 65535, 65535),
         ]
         lab = FlatLabel.from_entries(4, {key: [(0.0, 1.0)] for key in keys})
         blob = pack_labeling(RemoteLabels(0.25, {4: lab}), num_shards=1)
@@ -164,10 +164,12 @@ class TestPathKeyEncoding:
         assert [decode_path_key(encode_path_key(k)) for k in keys] == keys
 
     def test_out_of_range_components_are_rejected(self):
-        with pytest.raises(GraphError, match="outside the flat key range"):
-            encode_path_key((0, 1 << 31, 0))
-        with pytest.raises(GraphError, match="outside the flat key range"):
-            encode_path_key((0, 0, -(1 << 31) - 1))
+        for key in [
+            (0, 1 << 16, 0), (0, 0, 1 << 16), (0, -1, 0), (0, 0, -1),
+            (1 << 31, 0, 0), (-(1 << 31) - 1, 0, 0),
+        ]:
+            with pytest.raises(GraphError, match="outside the flat key range"):
+                encode_path_key(key)
 
 
 class TestFlatLabelShape:
@@ -205,7 +207,7 @@ def _bits(x: float) -> bytes:
 
 def _churned(fl: FlatLabel) -> FlatLabel:
     """A twin of *fl* that carries no merge state."""
-    return FlatLabel(fl.vertex, fl.offs, fl.runs, fl.index, memo=False)
+    return FlatLabel(fl.vertex, fl.codes, fl.offs, fl.runs, fl.index, memo=False)
 
 
 def _fresh_flat_labels(labeling, tmp_path):
@@ -485,7 +487,7 @@ class TestBigEndianFallback:
         # Force the portable struct-unpack branch of the /2 flat
         # decoder and require bit-identical FlatLabels: on a
         # little-endian host this proves the big-endian fallback reads
-        # the same floats the array('d') bulk path does.
+        # the same columns the array frombytes path does.
         g = random_delaunay_graph(40, seed=9)[0]
         tree = build_decomposition(g)
         labeling = build_labeling(g, tree, epsilon=0.25)
@@ -505,7 +507,8 @@ class TestBigEndianFallback:
             assert a.keys == b.keys
             assert list(a.offs) == list(b.offs)
             assert a.index == b.index
-            # Header slots and portal floats alike are bit-equal.
+            # Codes and portal floats alike are bit-equal.
+            assert a.codes.tobytes() == b.codes.tobytes()
             assert a.runs.tobytes() == b.runs.tobytes()
             assert all(
                 math.isfinite(x)
@@ -516,9 +519,9 @@ class TestBigEndianFallback:
 
 
     def test_portable_pack_path_equals_fast_path(self, monkeypatch):
-        # The /2 writer's big-endian branch re-packs portal slots one
-        # by one; on a little-endian host it must write the same bytes
-        # as writing each label's runs verbatim.
+        # The /2 writer's big-endian branch packs each column's items
+        # as little-endian values; on a little-endian host it must
+        # write the same bytes as writing each label's columns verbatim.
         g = random_delaunay_graph(40, seed=9)[0]
         labeling = build_labeling(g, build_decomposition(g), epsilon=0.25)
         fast = pack_labeling(labeling, num_shards=4)

@@ -86,7 +86,7 @@ class TestLabelCodec:
             ({"v": 0, "e": {"0:0:0": [[0.0, None]]}}, "not two finite numbers"),
             ({"v": 0, "e": {"0:0:0": [[0.0, float("nan")]]}}, "not two finite numbers"),
             ({"v": 0, "e": {"0:0:0": [[float("inf"), 1.0]]}}, "not two finite numbers"),
-            ({"v": 0, "e": {"4294967296:0:0": [[0.0, 1.0]]}}, "does not fit i32"),
+            ({"v": 0, "e": {"4294967296:0:0": [[0.0, 1.0]]}}, "does not fit the key code"),
             ({"v": True, "e": {}}, "malformed vertex"),
         ],
         ids=[
@@ -242,6 +242,17 @@ class TestMalformedJsonPayloads:
         assert remote.epsilon == 0.25
         assert remote.labels[1].entries() == {(0, 0, 0): [(0.0, 1.5)]}
 
+    def test_decreasing_positions_would_underestimate(self):
+        # The payload the loader refuses: the merge, which assumes
+        # ascending positions, gives -2.0 where the minimum is 6.0.
+        from tests.reference_labeling import dict_estimate, VertexLabel
+
+        u = VertexLabel(0, {(0, 0, 0): [(5.0, 100.0), (0.0, 1.0)]})
+        v = VertexLabel(1, {(0, 0, 0): [(4.0, 1.0)]})
+        assert dict_estimate(u, v) == -2.0
+        ties = load_labeling(_json_payload(label='{"v":1,"e":{"0:0:0":[[2,1],[2,0]]}}'))
+        assert ties.labels[1].entries() == {(0, 0, 0): [(2.0, 1.0), (2.0, 0.0)]}
+
     @pytest.mark.parametrize(
         "text, reason",
         [
@@ -274,6 +285,18 @@ class TestMalformedJsonPayloads:
             (_json_payload(label='{"v":NaN,"e":{}}'), "non-finite number NaN"),
             (_json_payload(label="[1,2]"), "malformed label payload"),
             (_json_payload(label="7"), "malformed label payload"),
+            (
+                _json_payload(label='{"v":1,"e":{"0:0:0":[[5,100],[0,1]]}}'),
+                r"holds portal positions out of order \(5.0 then 0.0\)",
+            ),
+            (
+                _json_payload(label='{"v":1,"e":{"0:0:0":[[0,1],[2,1],[2,0],[1,3]]}}'),
+                r"path key '0:0:0' of vertex 1 holds portal positions out of order",
+            ),
+            (
+                _json_payload(label='{"v":1,"e":{"0:65536:0":[[0.0,1.0]]}}'),
+                r"path key \(0, 65536, 0\) of vertex 1 does not fit the key code",
+            ),
         ],
         ids=[
             "short-portal", "no-epsilon", "entries-a-list", "nan-epsilon",
@@ -281,7 +304,8 @@ class TestMalformedJsonPayloads:
             "bool-epsilon", "nan-portal", "minus-infinity-portal",
             "overflowing-portal", "huge-int-portal", "huge-int-epsilon",
             "int-past-the-digit-limit", "nan-vertex",
-            "label-a-list", "label-a-number",
+            "label-a-list", "label-a-number", "decreasing-positions",
+            "decreasing-after-a-tie", "phase-outside-u16",
         ],
     )
     def test_malformation_raises_one_line_reason(self, text, reason):

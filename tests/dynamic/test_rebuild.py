@@ -167,6 +167,32 @@ class TestDeltaCodec:
             with pytest.raises(DeltaError):
                 delta_from_dict(broken)
 
+    @pytest.mark.parametrize(
+        "key, pairs, reason",
+        [
+            ("0:0:0", [[5.0, 100.0], [0.0, 1.0]],
+             r"under key '0:0:0' has portal positions out of order \(5.0 then 0.0\)"),
+            ("0:0:0", [[0.0, 1.0], [2.0, 1.0], [2.0, 0.0], [1.0, 3.0]],
+             r"portal positions out of order \(2.0 then 1.0\)"),
+            ("0:65536:0", [[0.0, 1.0]],
+             r"path key \(0, 65536, 0\) does not fit the key code"),
+            ("4294967296:0:0", [[0.0, 1.0]], "does not fit the key code"),
+        ],
+        ids=["decreasing", "decreasing-after-a-tie", "phase-outside-u16",
+             "node-outside-i32"],
+    )
+    def test_change_refused_with_a_one_line_reason(self, key, pairs, reason):
+        payload = delta_to_dict(self._delta())
+        payload["changes"] = [[0, key, pairs]]
+        with pytest.raises(DeltaError, match=reason) as info:
+            delta_from_dict(payload)
+        assert "\n" not in str(info.value)
+
+    def test_tied_positions_parse(self):
+        payload = delta_to_dict(self._delta())
+        payload["changes"] = [[0, "0:0:0", [[2.0, 1.0], [2.0, 0.0]]]]
+        assert delta_from_dict(payload).changes == [(0, (0, 0, 0), [(2.0, 1.0), (2.0, 0.0)])]
+
 
 class TestValidation:
     def test_structural_update_needs_full_rebuild(self):

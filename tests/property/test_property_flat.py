@@ -298,7 +298,7 @@ class TestLabelSplice:
         assert got == want
         assert isinstance(got, str)
         assert repr(key) in got and repr((4, 2)) in got
-        with pytest.raises(SerializationError, match="does not fit i32"):
+        with pytest.raises(SerializationError, match="does not fit the key code"):
             label.with_changes([(key, [(0.0, 1.0)])], [])
         # With two such keys, both name the one first in key order.
         other = (9,) + key[1:] if field else (2, 1 << 31, 0)

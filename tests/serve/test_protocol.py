@@ -1,5 +1,7 @@
-"""Protocol parsing and rendering, transport-free."""
+"""Protocol parsing and rendering, transport-free (one test drives a
+live connection)."""
 
+import asyncio
 import json
 import math
 
@@ -96,6 +98,31 @@ class TestParseErrors:
         assert exc.code == "bad_request"
         assert str(exc) == "non-finite number in request"
         assert exc.req_id is None
+
+    def test_int_past_the_digit_limit_is_a_bad_request(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError.
+        exc = _err('{"id": 1' + "0" * 5000 + ', "op": "HEALTH"}')
+        assert exc.code == "bad_request"
+        assert str(exc).startswith("invalid JSON: Exceeds the limit")
+
+    def test_int_past_the_digit_limit_keeps_the_connection(self, catalog):
+        from repro.serve import OracleServer
+        from tests.serve.conftest import rpc
+
+        async def main():
+            server = OracleServer(catalog, port=0)
+            await server.start()
+            try:
+                return await rpc(server.port, [
+                    b'{"id":1' + b"0" * 5000 + b',"op":"HEALTH"}\n',
+                    {"id": 2, "op": "HEALTH"},
+                ])
+            finally:
+                await server.shutdown()
+
+        first, second = map(json.loads, asyncio.run(main()))
+        assert first["ok"] is False and first["error"]["code"] == "bad_request"
+        assert second["id"] == 2 and second["ok"] is True
 
     def test_finite_floats_still_parse(self):
         req = parse_request('{"id": 2.5, "op": "BATCH", "pairs": [[1e300, 2]]}')
