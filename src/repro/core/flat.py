@@ -671,7 +671,8 @@ def flat_estimate_many(
         ib = 2 * (sb[m] + t - i * nbm)
         pa, da, pb, db = runs[ia], runs[ia + 1], runs[ib], runs[ib + 1]
         cand = np.where(pb < pa, ((db - pb) + da) + pa, ((da - pa) + db) + pb)
-        # Shared keys come in b-side order, which is pair order.
+        # kb ascends, and each pair's b-side keys are stored together,
+        # so the candidates come grouped by pair.
         pair = owner[kb][m] - n
         first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
         best[pair[first]] = np.minimum.reduceat(cand, first)

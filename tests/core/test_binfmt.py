@@ -17,6 +17,7 @@ from repro.core.binfmt import (
     HEADER_BYTES,
     MAGIC,
     BinaryLabelReader,
+    _decode_label_flat,
     decode_vertex_binary,
     encode_label_binary,
     encode_vertex_binary,
@@ -495,8 +496,6 @@ class TestReaderValidation:
         at = len(_encode(9)) + 4 + 16
         forged = record[:at] + struct.pack("<3I", *offs) + record[at + 12 :] + extra
         start = len(_encode(9))
-        from repro.core.binfmt import _decode_label_flat
-
         with pytest.raises(SerializationError, match=match):
             _decode_label_flat(forged, 9, start, len(forged))
 
@@ -507,8 +506,6 @@ class TestReaderValidation:
         record = bytearray(encode_label_binary(label))
         at = len(_encode(9)) + 4
         record[at + 8 : at + 16] = record[at : at + 8]
-        from repro.core.binfmt import _decode_label_flat
-
         with pytest.raises(SerializationError, match="repeats a path key"):
             _decode_label_flat(bytes(record), 9, at - 4, len(record))
 

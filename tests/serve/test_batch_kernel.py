@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import build_decomposition, build_labeling
 from repro.core.binfmt import write_labeling_binary
-from repro.core.serialize import encode_vertex
+from repro.core.serialize import dump_labeling, encode_vertex, load_labeling
 from repro.generators import grid_2d
 from repro.obs import CollectingSink, use_sink
 from repro.serve import OracleServer, ShardedLabelStore, StoreCatalog
@@ -61,8 +61,6 @@ def stream(vertices):
 def serve(labels_bin, cache_size, kernel_pairs, monkeypatch):
     labeling, path = labels_bin
     monkeypatch.setattr(server_mod, "BATCH_KERNEL_PAIRS", kernel_pairs)
-    from repro.core.serialize import dump_labeling, load_labeling
-
     catalog = StoreCatalog()
     catalog.add(ShardedLabelStore.from_remote(
         "json", load_labeling(dump_labeling(labeling)), num_shards=4
