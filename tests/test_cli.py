@@ -125,6 +125,22 @@ class TestLabelsAndQuery:
         assert err.startswith("error:")
         assert "something-else/9" in err
 
+    def test_query_row_layout_binary_file_names_repro_pack(self, capsys):
+        # A /2 file written before the columnar records is refused with
+        # one line that says how to replace it, by the store loader too.
+        from pathlib import Path
+
+        from repro.core.serialize import SerializationError
+        from repro.serve import ShardedLabelStore
+
+        old = Path(__file__).parent / "data" / "row_layout_n64.labels.bin"
+        assert main(["query", str(old), "0", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "`repro pack`" in err
+        assert len(err.strip().splitlines()) == 1
+        with pytest.raises(SerializationError, match="row-layout.*`repro pack`"):
+            ShardedLabelStore.load(old)
+
     def test_query_missing_labels_file(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "labels.json"
         assert main(["query", str(missing), "0", "1"]) == 2
