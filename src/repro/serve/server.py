@@ -90,9 +90,10 @@ DEFAULT_MAX_BATCH = 1024
 #: ones, and DIST, merge each pair with ``flat_estimate``.  Same bits
 #: either way.  Timed in process over random pairs of the delaunay
 #: n=8192 ``/2`` file that perfbench's ``batch-mmap`` serves (churned
-#: labels), per pair: the merge 10-11 us at any batch size, the kernel
-#: 11 us in 16-pair calls, 8.4 us in 32-pair and 6.8 us in 64-pair
-#: ones (medians of six rounds; a call costs a fixed ~100 us), so it
+#: labels), per pair, medians of six rounds in each of two sessions on
+#: a shared 2-vCPU host: the merge 8.4-10.6 us at any batch size, the
+#: kernel 10-11 us in 16-pair calls, 7.5-8.4 us in 32-pair and
+#: 6.5-6.8 us in 64-pair ones (a call costs a fixed ~100 us), so it
 #: overtakes between 16 and 32.
 BATCH_KERNEL_PAIRS = 32
 
