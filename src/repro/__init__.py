@@ -25,21 +25,7 @@ Quick start::
     d = oracle.query(0, 499)   # within a factor 1.1 of the true distance
 """
 
-from repro.core import (
-    CompactRoutingScheme,
-    DecompositionTree,
-    DistanceLabeling,
-    DoublingOracle,
-    GreedyRouter,
-    PathSeparator,
-    PathSeparatorAugmentation,
-    PathSeparatorOracle,
-    SeparatorPhase,
-    build_decomposition,
-    build_labeling,
-    greedy_route,
-)
-from repro.graphs import Graph
+from repro.util.lazy import lazy_attributes
 
 __version__ = "1.0.0"
 
@@ -59,3 +45,11 @@ __all__ = [
     "build_labeling",
     "greedy_route",
 ]
+
+# Every public name but __version__ comes from repro.core (which
+# resolves its own lazily) or, for Graph, repro.graphs, imported on
+# first access, so ``import repro.serve`` loads no build machinery.
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "repro.core": [name for name in __all__ if name not in ("Graph", "__version__")],
+    "repro.graphs": ["Graph"],
+})

@@ -64,15 +64,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core import build_decomposition, build_labeling
-from repro.core.engines import (
-    CenterBagEngine,
-    GreedyPeelingEngine,
-    StrongGreedyEngine,
-    TreeCentroidEngine,
-    auto_engine,
-)
-from repro.core.oracle import PathSeparatorOracle
+from repro.core.labeling import build_labeling
 from repro.core.serialize import dump_labeling, load_labeling
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.ops import relabel
@@ -132,14 +124,24 @@ def _make_generator(family: str, n: int, seed: int, weights, p=None, m=3):
     return makers[family]()
 
 
+def _engines():
+    """:mod:`repro.core.engines`, imported by the commands that build:
+    ``serve`` and ``query`` never load the separator engines or scipy,
+    and neither does this module (the build imports below sit inside
+    the commands for the same reason)."""
+    from repro.core import engines
+
+    return engines
+
+
 # Engine factories take (graph, seed) so the CLI ``--seed`` flag reaches
 # every randomized engine instead of relying on baked-in defaults.
 ENGINES = {
-    "auto": lambda g, seed: auto_engine(g, seed=seed),
-    "greedy": lambda g, seed: GreedyPeelingEngine(seed=seed),
-    "centerbag": lambda g, seed: CenterBagEngine(order="min_degree"),
-    "centroid": lambda g, seed: TreeCentroidEngine(),
-    "strong": lambda g, seed: StrongGreedyEngine(seed=seed),
+    "auto": lambda g, seed: _engines().auto_engine(g, seed=seed),
+    "greedy": lambda g, seed: _engines().GreedyPeelingEngine(seed=seed),
+    "centerbag": lambda g, seed: _engines().CenterBagEngine(order="min_degree"),
+    "centroid": lambda g, seed: _engines().TreeCentroidEngine(),
+    "strong": lambda g, seed: _engines().StrongGreedyEngine(seed=seed),
     "planar": lambda g, seed: _planar_engine(seed),
 }
 
@@ -179,6 +181,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from repro.core.decomposition import build_decomposition
+
     graph = read_edge_list(args.graph)
     engine = _engine_for(args, graph)
     tree = build_decomposition(graph, engine=engine)
@@ -219,6 +223,8 @@ def _evaluate_queries(graph, oracle, queries: int, seed: int):
 
 
 def cmd_oracle(args) -> int:
+    from repro.core.oracle import PathSeparatorOracle
+
     graph = read_edge_list(args.graph)
     engine = _engine_for(args, graph)
     oracle = PathSeparatorOracle.build(
@@ -251,6 +257,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_labels(args) -> int:
+    from repro.core.decomposition import build_decomposition
+
     graph = read_edge_list(args.graph)
     tree = build_decomposition(graph, engine=_engine_for(args, graph))
     labeling = build_labeling(
@@ -412,6 +420,7 @@ def _sample_distinct_pairs(vertices, count: int, rng: random.Random):
 def cmd_smallworld(args) -> int:
     from repro.baselines import KleinbergAugmentation, UniformAugmentation
     from repro.core import AugmentedGraph, GreedyRouter, PathSeparatorAugmentation
+    from repro.core.decomposition import build_decomposition
 
     graph = read_edge_list(args.graph)
     tree = build_decomposition(graph, engine=_engine_for(args, graph))
@@ -546,6 +555,7 @@ def _cmd_loadgen_updates(args) -> int:
     fresh rebuild (see docs/dynamic.md)."""
     import time
 
+    from repro.core.decomposition import build_decomposition
     from repro.dynamic import JournalWriter
     from repro.dynamic.driver import run_update_loadgen
     from repro.obs import write_bench_json
@@ -752,6 +762,7 @@ def cmd_update(args) -> int:
     and writing the updated labels (``--out``).  ``--verify`` rebuilds
     from scratch at the end and requires byte-identical labels.
     """
+    from repro.core.decomposition import build_decomposition
     from repro.core.labeling import DistanceLabeling
     from repro.dynamic import (
         EdgeUpdate,
@@ -1352,6 +1363,8 @@ def _level_rows(tree):
 
 
 def cmd_stats(args) -> int:
+    from repro.core.oracle import PathSeparatorOracle
+
     graph = read_edge_list(args.graph)
     engine = _engine_for(args, graph)
     collector = CollectingSink()

@@ -15,46 +15,41 @@ Public surface:
 * Doubling separators — Section 5.3 / Theorem 8.
 """
 
-from repro.core.decomposition import DecompositionNode, DecompositionTree, build_decomposition
-from repro.core.doubling import (
-    DoublingNode,
-    DoublingOracle,
-    MetricNetOracle,
-    greedy_net,
-    DoublingSeparator,
-    doubling_dimension_estimate,
-    grid3d_doubling_decomposition,
-)
-from repro.core.engines import (
-    CenterBagEngine,
-    FundamentalCycleEngine,
-    GreedyPeelingEngine,
-    SeparatorEngine,
-    StrongGreedyEngine,
-    TreeCentroidEngine,
-    auto_engine,
-)
-from repro.core.flat import CSRGraph, FlatLabel, flat_estimate
-from repro.core.labeling import DistanceLabeling, build_labeling
-from repro.core.oracle import PathSeparatorOracle
-from repro.core.portals import claim1_landmarks, epsilon_cover_portals
-from repro.core.routing import CompactRoutingScheme
-from repro.core.separator import PathSeparator, SeparatorPhase
-from repro.core.serialize import (
-    RemoteLabels,
-    SerializationError,
-    dump_labeling,
-    load_labeling,
-)
-from repro.core.smallworld import (
-    AugmentationDistribution,
-    AugmentedGraph,
-    ClosestSeparatorAugmentation,
-    GreedyRouter,
-    PathSeparatorAugmentation,
-    estimate_aspect_ratio,
-    greedy_route,
-)
+from repro.util.lazy import lazy_attributes
+
+# Each module and the public names it defines.  Names resolve on first
+# access, so importing this package, or one of its modules such as the
+# label core, loads no separator engine and no scipy.
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "repro.core.decomposition": (
+        "DecompositionNode", "DecompositionTree", "build_decomposition",
+    ),
+    "repro.core.doubling": (
+        "DoublingNode", "DoublingOracle", "DoublingSeparator", "MetricNetOracle",
+        "doubling_dimension_estimate", "greedy_net",
+        "grid3d_doubling_decomposition",
+    ),
+    "repro.core.engines": (
+        "CenterBagEngine", "FundamentalCycleEngine", "GreedyPeelingEngine",
+        "SeparatorEngine", "StrongGreedyEngine", "TreeCentroidEngine",
+        "auto_engine",
+    ),
+    "repro.core.flat": ("FlatLabel", "flat_estimate"),
+    "repro.core.flat_build": ("CSRGraph",),
+    "repro.core.labeling": ("DistanceLabeling", "build_labeling"),
+    "repro.core.oracle": ("PathSeparatorOracle",),
+    "repro.core.portals": ("claim1_landmarks", "epsilon_cover_portals"),
+    "repro.core.routing": ("CompactRoutingScheme",),
+    "repro.core.separator": ("PathSeparator", "SeparatorPhase"),
+    "repro.core.serialize": (
+        "RemoteLabels", "SerializationError", "dump_labeling", "load_labeling",
+    ),
+    "repro.core.smallworld": (
+        "AugmentationDistribution", "AugmentedGraph",
+        "ClosestSeparatorAugmentation", "GreedyRouter",
+        "PathSeparatorAugmentation", "estimate_aspect_ratio", "greedy_route",
+    ),
+})
 
 __all__ = [
     "AugmentationDistribution",

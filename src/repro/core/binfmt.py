@@ -292,8 +292,9 @@ def encode_label_binary(label: FlatLabel) -> bytes:
 def _decode_label_flat(buf, vertex, pos: int, end: int, memo: bool = True):
     """The :class:`repro.core.flat.FlatLabel` of *vertex* whose record
     body (key count and columns) spans ``buf[pos:end]``: one
-    ``frombytes`` per column and one ``dict(zip(...))`` for the code
-    index, no per-key loop.  A resident label (*memo*) builds its merge
+    ``frombytes`` per column and one ``set`` of the codes to refuse a
+    repeat, no per-key loop; the code index is left to the label's
+    first read of it.  A resident label (*memo*) builds its merge
     state on first use; a churned one never does.
 
     The offsets must run from 0 up, without a step down, to the portal
@@ -331,12 +332,11 @@ def _decode_label_flat(buf, vertex, pos: int, end: int, memo: bool = True):
     runs.frombytes(buf[at_runs:end])
     if not _LITTLE_ENDIAN:
         runs = _from_little_endian(runs)
-    index = dict(zip(codes, range(num_keys)))
-    if len(index) != num_keys:
+    if len(set(codes)) != num_keys:
         raise SerializationError(
             f"label record for vertex {vertex!r} repeats a path key"
         )
-    return FlatLabel(vertex, codes, offs, runs, index, memo=memo)
+    return FlatLabel(vertex, codes, offs, runs, memo=memo)
 
 
 # -- writer ---------------------------------------------------------------

@@ -159,7 +159,7 @@ class DecompositionTree:
         vertices that need portal entries for a unit are exactly its
         residual's members, and all their per-path distances come from
         one multi-source Dijkstra pass
-        (:func:`~repro.core.flat.flat_unit_entries`).  Cached after the
+        (:func:`~repro.core.flat_build.flat_unit_entries`).  Cached after the
         first call — forked labeling workers inherit the cache instead
         of recomputing it.
         """

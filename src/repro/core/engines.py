@@ -27,7 +27,7 @@ is "smallest id") and keeps each vertex's neighbours inside the set as
 an id list.  Candidate root paths are scored by one flood fill of the
 set minus all candidates together, then one union-find per candidate
 that merges the other candidates' vertices back onto those pieces.
-Shortest-path trees of at least :data:`repro.core.flat.SMALL_RESIDUAL`
+Shortest-path trees of at least :data:`repro.core.flat_build.SMALL_RESIDUAL`
 vertices run on scipy over an induced sub-CSR.  A scipy tree is used
 only when every reached vertex has exactly one tight in-arc, so its
 parents are the only possible ones and equal
@@ -53,6 +53,7 @@ from typing import AbstractSet, Dict, Hashable, Iterable, Iterator, List, Option
 import numpy as _np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from repro.core import flat_build
 from repro.core.separator import PathSeparator, SeparatorPhase, singleton_separator
 from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
@@ -110,11 +111,7 @@ class _Scope:
     def csr(self):
         """``(CSRGraph, vertex -> index, all -1 scratch)``, built once."""
         if self._csr is None:
-            # Imported here: flat imports labeling, which imports
-            # decomposition, which imports this module.
-            from repro.core.flat import CSRGraph
-
-            csr = CSRGraph.from_graph(self.graph)
+            csr = flat_build.CSRGraph.from_graph(self.graph)
             gid = {v: i for i, v in enumerate(csr.verts)}
             g2l = _np.full(csr.num_vertices, -1, dtype=_np.int64)
             self._csr = (csr, gid, g2l)
@@ -443,9 +440,7 @@ class _Region:
         )
 
     def _scipy_sized(self) -> bool:
-        from repro.core import flat
-
-        return len(self.ids) >= flat.SMALL_RESIDUAL
+        return len(self.ids) >= flat_build.SMALL_RESIDUAL
 
     def _dijkstra(self, root: int):
         """The reference kernel, on the vertex objects."""
@@ -457,11 +452,9 @@ class _Region:
     def _scipy(self, root: int, parents: bool):
         np = _np
         if self._sub is None:
-            from repro.core.flat import induced_csr
-
             csr, _, g2l = self.local.scope.csr()
             ids = np.asarray(self.ids, dtype=np.int64)
-            self._sub = (ids, induced_csr(csr, g2l, self.local.gids()[ids]))
+            self._sub = (ids, flat_build.induced_csr(csr, g2l, self.local.gids()[ids]))
         ids, sub = self._sub
         row = bisect_left(self.ids, root)
         if parents:

@@ -24,14 +24,17 @@ import time
 from multiprocessing import get_context
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.decomposition import DecompositionTree
 from repro.graphs.graph import Graph
 from repro.obs import metrics, record_span, span
 from repro.util.errors import GraphError
 from repro.util.rng import SeedLike, derive_seed
 from repro.util.sizing import SizeReport
 
-if TYPE_CHECKING:  # flat imports this module
+if TYPE_CHECKING:
+    # The query side imports this module for estimate_distance, so the
+    # decomposition (with its engines and scipy) is a type here only;
+    # flat imports this module, so the calls import flat themselves.
+    from repro.core.decomposition import DecompositionTree
     from repro.core.flat import FlatLabel
 
 Vertex = Hashable
@@ -133,15 +136,15 @@ def build_labeling(
         inherited global RNG state; label construction itself is
         deterministic.
 
-    Units run on the CSR kernels of :mod:`repro.core.flat` and emit
-    arrays, which :func:`repro.core.flat.assemble_labels` merges in
-    unit order into one :class:`~repro.core.flat.FlatLabel` per vertex;
-    residuals below ``flat.SMALL_RESIDUAL`` run the reference kernels
-    instead, with bit-identical output.
+    Units run on the CSR kernels of :mod:`repro.core.flat_build` and
+    emit arrays, which :func:`repro.core.flat_build.assemble_labels`
+    merges in unit order into one :class:`~repro.core.flat.FlatLabel`
+    per vertex; residuals below ``flat_build.SMALL_RESIDUAL`` run the
+    reference kernels instead, with bit-identical output.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    from repro.core.flat import FlatBuildContext, assemble_labels
+    from repro.core.flat_build import FlatBuildContext, assemble_labels
 
     jobs = int(parallel) if parallel else 1
     with span(
@@ -181,7 +184,7 @@ def build_labeling(
 
 def _run_units(fctx, epsilon: float, unit_idxs) -> List[UnitResult]:
     """Build the units named by *unit_idxs*, timing each one."""
-    from repro.core.flat import flat_unit_entries
+    from repro.core.flat_build import flat_unit_entries
 
     units = fctx.tree.phase_units()
     results = []

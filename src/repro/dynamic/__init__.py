@@ -18,6 +18,8 @@ The package turns that observation into a live-update pipeline:
   the labeling in place, and emit a :class:`LabelDelta` whose
   application is byte-identical to a from-scratch rebuild on the same
   decomposition tree;
+* :mod:`repro.dynamic.delta` — the delta's strict JSON wire form and
+  its application to a label dict, which is all a server needs;
 * :mod:`repro.dynamic.journal` — the ``repro-label-journal/1``
   append-only journal of epoch-stamped deltas (fsync'd writes, strict
   replay, crash-tolerant trailing-record handling);
@@ -33,30 +35,26 @@ those still require an offline rebuild, and the CLI says so).  See
 ``docs/dynamic.md`` for the consistency model.
 """
 
-from repro.dynamic.invalidate import (
-    EdgeUpdate,
-    affected_units,
-    affected_units_bruteforce,
-    affected_vertices,
-    touched_path_keys,
-)
-from repro.dynamic.journal import (
-    JOURNAL_FORMAT,
-    JournalError,
-    JournalRead,
-    JournalWriter,
-    read_journal,
-    replay_journal,
-)
-from repro.dynamic.rebuild import (
-    DeltaError,
-    DynamicError,
-    LabelDelta,
-    apply_delta_to_labels,
-    delta_from_dict,
-    delta_to_dict,
-    incremental_relabel,
-)
+from repro.util.lazy import lazy_attributes
+
+# Each module and the public names it defines, resolved on first
+# access: a server imports the delta codec from this package without
+# loading the relabeler or the decomposition behind it.
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "repro.dynamic.delta": (
+        "DeltaError", "DynamicError", "EdgeUpdate", "LabelDelta",
+        "apply_delta_to_labels", "delta_from_dict", "delta_to_dict",
+    ),
+    "repro.dynamic.invalidate": (
+        "affected_units", "affected_units_bruteforce", "affected_vertices",
+        "touched_path_keys",
+    ),
+    "repro.dynamic.journal": (
+        "JOURNAL_FORMAT", "JournalError", "JournalRead", "JournalWriter",
+        "read_journal", "replay_journal",
+    ),
+    "repro.dynamic.rebuild": ("incremental_relabel",),
+})
 
 __all__ = [
     "DeltaError",

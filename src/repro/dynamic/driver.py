@@ -33,9 +33,9 @@ from typing import List, Optional
 
 from repro.core.labeling import DistanceLabeling, build_labeling
 from repro.core.serialize import dump_labeling
-from repro.dynamic.invalidate import EdgeUpdate
+from repro.dynamic.delta import EdgeUpdate, delta_to_dict
 from repro.dynamic.journal import JournalWriter
-from repro.dynamic.rebuild import delta_to_dict, incremental_relabel
+from repro.dynamic.rebuild import incremental_relabel
 from repro.obs import eventlog, metrics
 from repro.serve.client import ClientError, RequestFailed, ResilientClient, RetryPolicy
 from repro.serve.loadgen import LoadgenError, LoadgenReport, run_loadgen, synthesize_pairs

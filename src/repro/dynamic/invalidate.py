@@ -37,7 +37,6 @@ the differential soundness tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Hashable, List, Set, Tuple
 
 from repro.core.decomposition import DecompositionTree, PathKey
@@ -47,24 +46,6 @@ Vertex = Hashable
 
 # One affected unit: (node_id, phase_index, residual).
 AffectedUnit = Tuple[int, int, FrozenSet[Vertex]]
-
-
-@dataclass(frozen=True)
-class EdgeUpdate:
-    """A single edge reweight: set ``w(u, v) = weight``.
-
-    The decomposition tree is held fixed across updates, so only
-    reweights of *existing* edges are representable; structural changes
-    (add/remove an edge) require an offline rebuild and are rejected at
-    the API boundary (:func:`repro.dynamic.rebuild.incremental_relabel`).
-    """
-
-    u: Vertex
-    v: Vertex
-    weight: float
-
-    def endpoints(self) -> Tuple[Vertex, Vertex]:
-        return (self.u, self.v)
 
 
 def affected_units(

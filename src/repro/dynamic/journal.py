@@ -9,7 +9,7 @@ load.  Layout is line-delimited JSON:
   "epsilon": ..., "source": ...}``;
 * each further line — one record: ``{"crc": <crc32 of the canonical
   delta JSON>, "delta": {...}}`` where the delta body is
-  :func:`repro.dynamic.rebuild.delta_to_dict`'s shape, epoch-stamped
+  :func:`repro.dynamic.delta.delta_to_dict`'s shape, epoch-stamped
   1, 2, 3, ... in file order.
 
 Writes are appended, flushed, and ``fsync``'d per record, so a crash
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.dynamic.rebuild import (
+from repro.dynamic.delta import (
     DeltaError,
     DynamicError,
     LabelDelta,

@@ -52,7 +52,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.flat import flat_estimate_many
 from repro.core.serialize import encode_label, encode_vertex
-from repro.dynamic.rebuild import DeltaError, delta_from_dict
+from repro.dynamic.delta import DeltaError, delta_from_dict
 from repro.obs import eventlog, metrics, process_rss_bytes, record_span, span
 from repro.obs.timeseries import TimeseriesWriter
 from repro.obs.tracing import NOOP_SPAN, Span, tracing_active

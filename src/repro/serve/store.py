@@ -39,7 +39,7 @@ from typing import Union
 from repro.core.binfmt import BinaryLabelReader, is_binary_labels
 from repro.core.flat import FlatLabel, flat_estimate, group_entry_changes
 from repro.core.serialize import RemoteLabels, load_labeling, shard_key_bytes
-from repro.dynamic.rebuild import (
+from repro.dynamic.delta import (
     Change,
     DeltaError,
     LabelDelta,

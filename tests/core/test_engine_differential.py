@@ -8,7 +8,7 @@ every hypothesis graph each engine must return the same phases and the
 same paths, in the same order, as the reference, and a
 ``build_decomposition`` with either must list the same nodes (vertex
 sets, parents, separators) in the same order.  Sizes reach past
-``flat.SMALL_RESIDUAL`` so both tree kernels run, and the integer-weight
+``flat_build.SMALL_RESIDUAL`` so both tree kernels run, and the integer-weight
 grids exercise the fallback for shortest-path ties.
 """
 

@@ -43,7 +43,7 @@ from repro.core import (
     flat_estimate,
     load_labeling,
 )
-from repro.core import flat as flat_core
+from repro.core import flat_build
 from repro.core.binfmt import pack_labeling
 from repro.dynamic import incremental_relabel
 from repro.dynamic.rebuild import delta_from_dict, delta_to_dict
@@ -239,13 +239,13 @@ def assert_lines_match_reference_through_deltas(
 
 def test_flat_backend_is_available_here():
     # The wall's no-skip guarantee: numpy and scipy are hard imports of
-    # the flat core, so a missing dependency fails at import time
+    # the build kernels, so a missing dependency fails at import time
     # instead of silently degrading anything.
     import numpy
     import scipy.sparse.csgraph
 
-    assert flat_core._np is numpy
-    assert flat_core._csgraph_dijkstra is scipy.sparse.csgraph.dijkstra
+    assert flat_build._np is numpy
+    assert flat_build._csgraph_dijkstra is scipy.sparse.csgraph.dijkstra
 
 
 class TestConstructionByteIdentity:

@@ -23,20 +23,23 @@ from repro.core import (
     dump_labeling,
     flat_estimate,
 )
-from repro.core import flat as flat_mod
+from repro.core import flat_build
 from repro.core.binfmt import (
     BinaryLabelReader,
     pack_labeling,
     write_labeling_binary,
 )
 from repro.core.flat import (
-    SMALL_RESIDUAL,
-    FlatBuildContext,
     decode_path_key,
     encode_path_key,
+    flat_estimate_many,
+    label_content,
+)
+from repro.core.flat_build import (
+    SMALL_RESIDUAL,
+    FlatBuildContext,
     flat_unit_entries,
     flat_unit_rows,
-    label_content,
 )
 from repro.core.serialize import (
     RemoteLabels,
@@ -128,7 +131,7 @@ class TestCanonicalVertexRegression:
         g = Graph([(0.0, 1.0, 2.0), (1.0, 2.0, 3.0), (2.0, 3.0, 1.0)])
         tree = build_decomposition(g)
         # Threshold 0 forces even this 4-vertex graph onto the CSR path.
-        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 0)
+        monkeypatch.setattr(flat_build, "SMALL_RESIDUAL", 0)
         flat = build_labeling(g, tree, epsilon=0.5)
         ref = reference_build_labeling(g, tree, epsilon=0.5)
         assert dump_labeling(flat) == dump_labeling(ref.flat())
@@ -207,7 +210,7 @@ def _bits(x: float) -> bytes:
 
 def _churned(fl: FlatLabel) -> FlatLabel:
     """A twin of *fl* that carries no merge state."""
-    return FlatLabel(fl.vertex, fl.codes, fl.offs, fl.runs, fl.index, memo=False)
+    return FlatLabel(fl.vertex, fl.codes, fl.offs, fl.runs, memo=False)
 
 
 def _fresh_flat_labels(labeling, tmp_path):
@@ -344,6 +347,49 @@ class TestLazyMergeState:
                     fresh[codec], fresh[codec + "-churned"], [(1, 2)],
                     lambda a, b: 6.0,
                 )
+
+
+def _has_index(label: FlatLabel) -> bool:
+    """Whether *label*'s ``index`` slot is filled, without filling it."""
+    try:
+        FlatLabel.index.__get__(label)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestLazyCodeIndex:
+    """``FlatLabel.index`` is built on its first read: no constructor
+    builds it, a BATCH combine never reads it, and once read it maps
+    each code to its storage index from the label's own slot."""
+
+    def test_built_on_first_read_only(self, tmp_path):
+        g = random_delaunay_graph(64, seed=11)[0]
+        labeling = build_labeling(g, build_decomposition(g), epsilon=0.25)
+        built = list(labeling.labels.values())  # assemble_labels
+        copies = [FlatLabel.from_label(label) for label in built]
+        assert not any(map(_has_index, built + copies))
+        edited = [
+            label.with_changes([((0, 0, 0), [(0.0, 1.0)])], [])[0]
+            for label in copies
+        ]
+        assert all(map(_has_index, copies))  # the edit read them
+        assert not any(map(_has_index, edited))
+        reader, fresh = _fresh_flat_labels(labeling, tmp_path)
+        vertices = sorted(labeling.labels, key=repr)
+        with reader:
+            for kind, make in fresh.items():
+                labels = [make(v) for v in vertices]  # both decoders
+                assert not any(map(_has_index, labels)), kind
+                flat_estimate_many(list(zip(labels, reversed(labels))))
+                assert not any(map(_has_index, labels)), kind
+                flat_estimate(labels[0], labels[1])
+                for label in labels[:2]:
+                    index = label.index
+                    assert index == dict(zip(label.codes, range(len(label.codes))))
+                    assert FlatLabel.index.__get__(label) is index
+        with pytest.raises(AttributeError, match="no_such_field"):
+            built[0].no_such_field
 
 
 class TestResidentAndChurnedAgree:
@@ -622,7 +668,7 @@ class TestDynamicFlatHelpers:
         g, tree, ctx = self._case()
         calls = []
         monkeypatch.setattr(
-            flat_mod, "_induced_distances",
+            flat_build, "_induced_distances",
             lambda *args: calls.append(args),
         )
         small = [u for u in tree.phase_units() if len(u[2]) < SMALL_RESIDUAL]
@@ -660,7 +706,7 @@ class TestDynamicFlatHelpers:
             for upd in updates
         ]
         assert flat_side._flat_ctx is not None  # flat path actually ran
-        monkeypatch.setattr(flat_mod, "SMALL_RESIDUAL", 1 << 62)
+        monkeypatch.setattr(flat_build, "SMALL_RESIDUAL", 1 << 62)
         deltas_dict = [
             delta_to_dict(incremental_relabel(dict_side, upd))
             for upd in updates

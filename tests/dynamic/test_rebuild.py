@@ -16,7 +16,7 @@ from repro.dynamic import (
     delta_to_dict,
     incremental_relabel,
 )
-from repro.core.flat import FlatBuildContext, flat_unit_rows
+from repro.core.flat_build import FlatBuildContext, flat_unit_rows
 from repro.dynamic import rebuild
 from repro.dynamic.rebuild import _UnitDistCache
 

@@ -256,7 +256,7 @@ def unit_entries(
 
 
 def unit_triples(ctx, node_id: int, phase_idx: int, arrays) -> UnitEntries:
-    """:func:`repro.core.flat.flat_unit_entries` arrays as the
+    """:func:`repro.core.flat_build.flat_unit_entries` arrays as the
     triples :func:`unit_entries` returns, in the arrays' entry order."""
     verts, paths, counts, pairs = arrays
     out: UnitEntries = []
